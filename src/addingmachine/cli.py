@@ -14,24 +14,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import conjugacy, finite_ifs, interval_dynamics, odometer
 from .errors import AddingMachineError, InputError, NoCanonicalCoverError
 from .exactnum import format_exact, parse_exact
 from .ifs_io import load_ifs
-
-
-@dataclass
-class AnalysisConfig:
-    """Everything one invocation needs: command, inputs, bounds, output."""
-
-    command: str
-    inputs: tuple[str, ...] = ()
-    bounds: dict = field(default_factory=dict)
-    output: str | None = None
-    fmt: str = "text"
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -93,7 +81,11 @@ def _cmd_odometer(args) -> int:
 # -- ifs ----------------------------------------------------------------------
 
 
-def _tower_lines(F, tower, fm) -> list[str]:
+def _certificate_lines(F):
+    """Tower, digit and equivariance lines, with the objects behind them."""
+    tower = conjugacy.max_tower(F)
+    fm = conjugacy.build_factor_map(F, tower)
+    report = conjugacy.verify_equivariance(F, fm)
     sizes = " ".join(str(tower.size(i)) for i in range(1, tower.depth + 1))
     out = [f"tower: {' '.join(map(str, tower.primes)) or '(trivial)'}"
            + (f" (sizes {sizes})" if tower.depth else "")]
@@ -104,34 +96,30 @@ def _tower_lines(F, tower, fm) -> list[str]:
     for x in F.states:
         vector = ",".join(map(str, fm.digits[x])) if fm.depth else "-"
         out.append(f"{x} -> {vector}")
-    return out
+    for label, ok in report.per_label:
+        out.append(f"equivariance {label}: {'PASS' if ok else 'FAIL'}")
+    return out, tower, fm, report
 
 
 def _cmd_ifs(args) -> int:
-    config = AnalysisConfig(
-        command=f"ifs {args.op}",
-        inputs=(args.file,),
-        output=getattr(args, "output", None),
-    )
     F = load_ifs(args.file)
+    lines = [
+        f"# ifs {args.op}",
+        f"# input: {args.file}",
+        f"# states: {F.n_states}",
+        f"# labels: {' '.join(F.labels)}",
+    ]
     if args.op == "analyze":
         bound = args.bound if args.bound is not None else F.n_states
         horizon = args.horizon if args.horizon is not None else F.n_states ** 2
         if bound < 1 or horizon < 1:
             raise InputError("bound and horizon must be >= 1")
-        config.bounds = {"bound": bound, "horizon": horizon}
-        lines = [
-            "# ifs analyze",
-            f"# input: {args.file}",
-            f"# states: {F.n_states}",
-            f"# labels: {' '.join(F.labels)}",
-            f"# bound: {bound}",
-            f"# horizon: {horizon}",
-        ]
+        lines.append(f"# bound: {bound}")
+        lines.append(f"# horizon: {horizon}")
         if not finite_ifs.is_minimal(F):
             lines.append("minimal: no")
             lines.append(f"periodic: {_fmt_states(finite_ifs.periodic_points(F))}")
-            _emit("\n".join(lines) + "\n", config.output)
+            _emit("\n".join(lines) + "\n", args.output)
             return 0
         lines.append("minimal: yes")
         spectrum = finite_ifs.nm_set(F, bound)
@@ -143,35 +131,20 @@ def _cmd_ifs(args) -> int:
                 lines.append(f"cover[{n}]: {blocks}")
             except NoCanonicalCoverError as exc:
                 lines.append(f"cover[{n}]: none ({exc.reason})")
-        tower = conjugacy.max_tower(F)
-        fm = conjugacy.build_factor_map(F, tower)
-        lines.extend(_tower_lines(F, tower, fm))
-        report = conjugacy.verify_equivariance(F, fm)
-        for label, ok in report.per_label:
-            lines.append(f"equivariance {label}: {'PASS' if ok else 'FAIL'}")
+        certificate, _, fm, report = _certificate_lines(F)
+        lines.extend(certificate)
         rr = finite_ifs.regularly_recurrent_points(F, horizon)
         lines.append(f"recurrent: {_fmt_states(rr) if rr else '(none)'}")
         injective = conjugacy.injectivity_on_regularly_recurrent(F, fm, rr)
         lines.append(f"injective on recurrent: {'yes' if injective else 'no'}")
-        _emit("\n".join(lines) + "\n", config.output)
+        _emit("\n".join(lines) + "\n", args.output)
         return 0 if report.passed else 2
     if args.op == "verify":
-        lines = [
-            "# ifs verify",
-            f"# input: {args.file}",
-            f"# states: {F.n_states}",
-            f"# labels: {' '.join(F.labels)}",
-        ]
         if not finite_ifs.is_minimal(F):
             raise InputError("verification needs a minimal system")
-        tower = conjugacy.max_tower(F)
-        fm = conjugacy.build_factor_map(F, tower)
-        lines.extend(_tower_lines(F, tower, fm))
-        report = conjugacy.verify_equivariance(F, fm)
-        failed = False
-        for label, ok in report.per_label:
-            lines.append(f"equivariance {label}: {'PASS' if ok else 'FAIL'}")
-            failed = failed or not ok
+        certificate, tower, fm, report = _certificate_lines(F)
+        lines.extend(certificate)
+        failed = not report.passed
         if report.witness is not None:
             label, x = report.witness
             lines.append(f"counterexample: label {label} at state {x}")
@@ -190,7 +163,7 @@ def _cmd_ifs(args) -> int:
             lines.append(f"base check: FAIL ({exc})")
             failed = True
         lines.append(f"verdict: {'FAIL' if failed else 'PASS'}")
-        _emit("\n".join(lines) + "\n", config.output)
+        _emit("\n".join(lines) + "\n", args.output)
         return 2 if failed else 0
     raise InputError(f"unknown ifs operation {args.op!r}")
 

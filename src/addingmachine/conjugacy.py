@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+from ._intmath import factorize
 from .errors import InputError, InternalConsistencyError
 from .finite_ifs import (
     FiniteIFS,
@@ -26,17 +27,6 @@ from .finite_ifs import (
     regularly_recurrent_points,
 )
 from .odometer import BaseSequence, OdometerPoint, from_residue
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # -- colorings --------------------------------------------------------------
@@ -155,7 +145,7 @@ class CyclicTower:
             raise InputError("tower has mismatched primes and levels")
         states = list(self.system.states)
         for i, (p, level) in enumerate(zip(self.primes, self.levels), start=1):
-            if not _is_prime(p):
+            if factorize(p) != {p: 1}:
                 raise InputError(f"tower factor {p} at level {i} is not prime")
             m = self.size(i)
             if len(level) != m:
@@ -199,7 +189,7 @@ def extend_tower(F: FiniteIFS, tower: CyclicTower):
     m = tower.top_size
     out = []
     for p in range(2, F.n_states // m + 1):
-        if not _is_prime(p):
+        if factorize(p) != {p: 1}:
             continue
         size = p * m
         coloring = find_mod_n_coloring(F, size)
@@ -383,12 +373,9 @@ def tower_to_alpha(tower: CyclicTower) -> AlphaReport:
     tower.validate()
     F = tower.system
     tower_counts = Counter(tower.primes)
-    spectrum = nm_set(F, F.n_states)
-    relevant = sorted(set(tower_counts) | {
-        p for s in spectrum for p in _prime_support(s)
-    })
-    for p in relevant:
-        from_spectrum = max(_p_adic(s, p) for s in spectrum)
+    spectrum = [factorize(s) for s in nm_set(F, F.n_states)]
+    for p in sorted(set(tower_counts).union(*spectrum)):
+        from_spectrum = max(f.get(p, 0) for f in spectrum)
         if tower_counts.get(p, 0) != from_spectrum:
             raise InternalConsistencyError(
                 f"tower gives {p}^{tower_counts.get(p, 0)} but the power spectrum"
@@ -396,28 +383,6 @@ def tower_to_alpha(tower: CyclicTower) -> AlphaReport:
             )
     mults = tuple(sorted(tower_counts.items()))
     return AlphaReport(primes=tower.primes, multiplicities=mults)
-
-
-def _p_adic(n: int, p: int) -> int:
-    k = 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    return k
-
-
-def _prime_support(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def injectivity_on_regularly_recurrent(

@@ -18,6 +18,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Union
 
+from ._intmath import factorize
 from .errors import ExactnessError, InputError
 
 ExactNumber = Union[Fraction, "Surd"]
@@ -31,12 +32,10 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
         raise InputError(f"radicand must be positive, got {n}")
     if n in _SQUAREFREE_CACHE:
         return _SQUAREFREE_CACHE[n]
-    k, m, d = 1, n, 2
-    while d * d <= m:
-        while m % (d * d) == 0:
-            m //= d * d
-            k *= d
-        d += 1
+    k = m = 1
+    for p, e in factorize(n).items():
+        k *= p ** (e // 2)
+        m *= p ** (e % 2)
     _SQUAREFREE_CACHE[n] = (k, m)
     return k, m
 
@@ -245,10 +244,6 @@ def exact_sqrt(x) -> ExactNumber:
     n = q.numerator * q.denominator
     k, m = squarefree_decompose(n)
     return surd(0, Fraction(k, q.denominator), m) if m != 1 else Fraction(k, q.denominator)
-
-
-def as_float(x: ExactNumber) -> float:
-    return float(x)
 
 
 _RAT = r"-?\d+(?:/\d+|\.\d+)?"

@@ -11,6 +11,11 @@ subset of M is mapped to itself by all length-n words simultaneously.
 Those sets are computed combinatorially in minimal_sets; everything
 else here (nm_set, canonical covers, regular recurrence) builds on it.
 
+The distinct tables of each word length come from one walk,
+_word_layers, which builds layer n+1 from layer n. Every consumer
+shares it, and nm_set and regular recurrence walk it once, taking each
+length from the layer before instead of rebuilding from length 1.
+
 Algorithm behind minimal_sets: for a single table T, any set that T
 permutes consists of whole T-cycles. So keep only states lying on a
 cycle of every length-n table, prune states whose cycle (under any
@@ -194,15 +199,23 @@ def power_system(F: FiniteIFS, k: int) -> FiniteIFS:
     return FiniteIFS([(name, t) for t, name in tables.items()], metric=F.metric)
 
 
+def _word_layers(F: FiniteIFS, limit: int):
+    """Yield the set of distinct tables of word length 1, 2, ..., limit."""
+    level = set(F._tables)
+    yield level
+    for _ in range(limit - 1):
+        level = {
+            tuple(t[v] for v in prev) for prev in level for t in F._tables
+        }
+        yield level
+
+
 def tables_of_length(F: FiniteIFS, n: int) -> list[Table]:
     """Distinct tables of all length-n words, sorted for determinism."""
     if n < 1:
         raise InputError(f"word length must be >= 1, got {n}")
-    level = set(F._tables)
-    for _ in range(n - 1):
-        level = {
-            tuple(t[v] for v in prev) for prev in level for t in F._tables
-        }
+    for level in _word_layers(F, n):
+        pass
     return sorted(level)
 
 
@@ -266,7 +279,12 @@ def minimal_sets(F: FiniteIFS, n: int) -> MinimalSetReport:
     May be empty when some length-n word acts non-surjectively everywhere;
     for systems of bijections it is always a partition refinement.
     """
-    infos = [_cycles_of_table(t) for t in tables_of_length(F, n)]
+    return _minimal_sets_of(F, n, tables_of_length(F, n))
+
+
+def _minimal_sets_of(F: FiniteIFS, n: int, tables: Iterable[Table]) -> MinimalSetReport:
+    """minimal_sets for the given length-n tables; their order is irrelevant."""
+    infos = [_cycles_of_table(t) for t in tables]
     good = set(F.states)
     for on_cycle, _ in infos:
         good &= {x for x in F.states if on_cycle[x]}
@@ -345,12 +363,11 @@ def nm_set(F: FiniteIFS, bound: int) -> NMSet:
         raise InputError(f"bound must be >= 1, got {bound}")
     if not is_minimal(F):
         raise InputError("system is not minimal; its power structure is undefined here")
-    members = [1]
+    members = []
     earlier: set[frozenset[int]] = set()
-    earlier |= minimal_sets(F, 1).as_frozensets()
-    for n in range(2, bound + 1):
-        collection = minimal_sets(F, n).as_frozensets()
-        if any(M not in earlier for M in collection):
+    for n, tables in enumerate(_word_layers(F, bound), start=1):
+        collection = _minimal_sets_of(F, n, tables).as_frozensets()
+        if n == 1 or not collection <= earlier:
             members.append(n)
         earlier |= collection
     return NMSet(bound=bound, members=tuple(members))
@@ -390,14 +407,12 @@ def regularly_recurrent_points(F: FiniteIFS, horizon: int | None = None) -> froz
     if horizon < 1:
         raise InputError(f"horizon must be >= 1, got {horizon}")
     found: set[int] = set()
-    level = set(F._tables)
-    for _ in range(horizon):
+    for level in _word_layers(F, horizon):
         for x in F.states:
             if x not in found and all(t[x] == x for t in level):
                 found.add(x)
         if len(found) == F.n_states:
             break
-        level = {tuple(t[v] for v in prev) for prev in level for t in F._tables}
     return frozenset(found)
 
 
@@ -457,28 +472,8 @@ def is_sensitive(F: FiniteIFS, delta) -> bool:
     Every point's smallest neighborhood must eventually spread to
     diameter exceeding delta. Since exact metrics separate points, the
     smallest neighborhood of any state is the singleton, whose iterates
-    stay singletons; so no finite metric system is sensitive for
-    delta >= 0. The loop is kept in its general shape.
+    stay singletons of diameter 0; so a finite metric system is
+    sensitive exactly for delta < 0.
     """
-    f = _single_table(F, "is_sensitive")
-    delta = Fraction(delta)
-    n, d = F.n_states, F.distance
-    for x in range(n):
-        radius = min(
-            (d(x, y) for y in range(n) if y != x), default=None
-        )
-        hood = frozenset(
-            y for y in range(n) if radius is None or d(x, y) < radius
-        )
-        seen = set()
-        current = hood
-        spread = False
-        while current not in seen:
-            seen.add(current)
-            if max(d(u, v) for u in current for v in current) > delta:
-                spread = True
-                break
-            current = frozenset(f[y] for y in current)
-        if not spread:
-            return False
-    return True
+    _single_table(F, "is_sensitive")
+    return Fraction(delta) < 0

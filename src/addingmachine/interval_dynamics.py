@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ExactnessError, InputError
+from .errors import InputError
 from .exactnum import ExactNumber, Surd, exact_sign, format_exact, parse_exact
 
 HALF = Fraction(1, 2)
@@ -73,10 +73,8 @@ class OrbitSegment:
     """An exact orbit prefix; points[k+1] = T(points[k]).
 
     status is "exact-cycle-found" when some point repeated exactly
-    (cycle_start and period then describe the cycle), "transient-only"
-    when the budget ran out with all points distinct, and
-    "budget-exhausted" when exactness could not be maintained and the
-    orbit holds the computed prefix only.
+    (cycle_start and period then describe the cycle), and
+    "transient-only" when the budget ran out with all points distinct.
     """
 
     points: tuple
@@ -100,10 +98,7 @@ def critical_orbit(a, budget: int = 64) -> OrbitSegment:
     points = [Fraction(1, 2)]
     seen = {points[0]: 0}
     for _ in range(budget):
-        try:
-            nxt = tent_eval(a, points[-1])
-        except ExactnessError:
-            return OrbitSegment(points=tuple(points), status="budget-exhausted")
+        nxt = tent_eval(a, points[-1])
         if nxt in seen:
             first = seen[nxt]
             return OrbitSegment(

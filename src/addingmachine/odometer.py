@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
+from ._intmath import factorize
 from .errors import InputError
 
 
@@ -66,20 +67,6 @@ class _InfiniteMultiplicity:
 
 
 INFINITY = _InfiniteMultiplicity()
-
-
-def _factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; fine at radix scale."""
-    factors: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
 
 
 class BaseSequence:
@@ -351,10 +338,10 @@ def prime_multiplicity(base: BaseSequence) -> PrimeMultiplicity:
         )
     counts: dict[int, object] = {}
     for j in base.prefix:
-        for p, k in _factorize(j).items():
+        for p, k in factorize(j).items():
             counts[p] = counts.get(p, 0) + k
     for j in base.tail:
-        for p in _factorize(j):
+        for p in factorize(j):
             counts[p] = INFINITY
     return PrimeMultiplicity.from_dict(counts)
 

@@ -168,6 +168,85 @@ def test_ifs_verify_passes(capsys, tmp_path):
     assert out.endswith("verdict: PASS\n")
 
 
+def test_ifs_verify_full_report(capsys, z6two):
+    code, out, _ = run(capsys, "ifs", "verify", z6two)
+    assert code == 0
+    assert out == dedent(f"""\
+        # ifs verify
+        # input: {z6two}
+        # states: 6
+        # labels: a b
+        tower: 2 (sizes 2)
+        level 1: {{0 2 4}} {{1 3 5}}
+        digits:
+        0 -> 0
+        1 -> 1
+        2 -> 0
+        3 -> 1
+        4 -> 0
+        5 -> 1
+        equivariance a: PASS
+        equivariance b: PASS
+        injective on recurrent: yes (0 states)
+        base check: PASS (2^1)
+        verdict: PASS
+        """)
+
+
+@pytest.fixture
+def squeeze3(tmp_path):
+    """Minimal but not bijective: no set is minimal for the first power."""
+    p = tmp_path / "squeeze3.ifs"
+    p.write_text("states: 0 1 2\nlabel a: 2 2 0\nlabel b: 1 0 2\n")
+    return str(p)
+
+
+def test_ifs_analyze_non_bijective_has_no_cover(capsys, squeeze3):
+    code, out, _ = run(capsys, "ifs", "analyze", squeeze3)
+    assert code == 0
+    assert out == dedent(f"""\
+        # ifs analyze
+        # input: {squeeze3}
+        # states: 3
+        # labels: a b
+        # bound: 3
+        # horizon: 9
+        minimal: yes
+        spectrum: 1
+        cover[1]: none (0 minimal sets, expected 1)
+        tower: (trivial)
+        digits:
+        0 -> -
+        1 -> -
+        2 -> -
+        equivariance a: PASS
+        equivariance b: PASS
+        recurrent: (none)
+        injective on recurrent: yes
+        """)
+
+
+def test_ifs_verify_non_bijective(capsys, squeeze3):
+    code, out, _ = run(capsys, "ifs", "verify", squeeze3)
+    assert code == 0
+    assert out == dedent(f"""\
+        # ifs verify
+        # input: {squeeze3}
+        # states: 3
+        # labels: a b
+        tower: (trivial)
+        digits:
+        0 -> -
+        1 -> -
+        2 -> -
+        equivariance a: PASS
+        equivariance b: PASS
+        injective on recurrent: yes (0 states)
+        base check: PASS ((empty))
+        verdict: PASS
+        """)
+
+
 def test_ifs_verify_rejects_non_minimal(capsys, tmp_path):
     p = tmp_path / "half.ifs"
     p.write_text("states: 0 1 2 3\nlabel a: 2 3 0 1\n")

@@ -304,6 +304,57 @@ def test_periodic_points():
     assert periodic_points(FiniteIFS({"a": (1, 0), "b": (0, 0)})) == frozenset({0, 1})
 
 
+# -- the word-layer walk against per-length references ---------------------------
+
+
+@st.composite
+def small_systems(draw):
+    """1-3 labels on at most 6 states; each map a permutation or arbitrary."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    tables = {}
+    for label in "abc"[: draw(st.integers(min_value=1, max_value=3))]:
+        if draw(st.booleans()):
+            tables[label] = tuple(draw(st.permutations(range(n))))
+        else:
+            tables[label] = tuple(draw(st.integers(0, n - 1)) for _ in range(n))
+    return FiniteIFS(tables)
+
+
+def word_tables(F, n):
+    return {compose(F, w) for w in itertools.product(F.labels, repeat=n)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(F=small_systems(), n=st.integers(min_value=1, max_value=4))
+def test_tables_of_length_matches_word_enumeration(F, n):
+    assert tables_of_length(F, n) == sorted(word_tables(F, n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(F=small_systems(), bound=st.integers(min_value=1, max_value=6))
+def test_nm_set_matches_per_length_definition(F, bound):
+    if not is_minimal(F):
+        return
+    members, earlier = [1], minimal_sets(F, 1).as_frozensets()
+    for n in range(2, bound + 1):
+        collection = minimal_sets(F, n).as_frozensets()
+        if collection - earlier:
+            members.append(n)
+        earlier |= collection
+    assert nm_set(F, bound).members == tuple(members)
+
+
+@settings(max_examples=80, deadline=None)
+@given(F=small_systems(), horizon=st.integers(min_value=1, max_value=5))
+def test_regularly_recurrent_points_match_definition(F, horizon):
+    fixing = [word_tables(F, n) for n in range(1, horizon + 1)]
+    expected = {
+        x for x in F.states
+        if any(all(t[x] == x for t in level) for level in fixing)
+    }
+    assert regularly_recurrent_points(F, horizon) == frozenset(expected)
+
+
 # -- shadowing and sensitivity ---------------------------------------------------
 
 
