@@ -13,6 +13,7 @@ invocation is byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -295,7 +296,9 @@ def _parse_primes(text: str) -> tuple[int, ...]:
 # -- wiring -------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args never mutates the parser
     parser = argparse.ArgumentParser(
         prog="addingmachine",
         description="exact adding machines, finite systems, tent maps",

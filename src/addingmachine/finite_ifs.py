@@ -8,13 +8,17 @@ apply f_a, then f_b.
 The central notion: a set M is minimal for the n-th power of the system
 when every length-n word maps M onto itself and no nonempty proper
 subset of M is mapped to itself by all length-n words simultaneously.
-Those sets are computed combinatorially in minimal_sets; everything
-else here (nm_set, canonical covers, regular recurrence) builds on it.
+Those sets are computed combinatorially in minimal_sets; nm_set and
+canonical covers build on it.
 
 The distinct tables of each word length come from one walk,
-_word_layers, which builds layer n+1 from layer n. Every consumer
-shares it, and nm_set and regular recurrence walk it once, taking each
-length from the layer before instead of rebuilding from length 1.
+_word_layers, which builds layer n+1 from layer n. Every consumer of
+word tables shares it, and nm_set walks it once, taking each length
+from the layer before instead of rebuilding from length 1. Minimality
+and regular recurrence need no word tables: they are decided on the
+union graph (an edge x -> f(x) for every map f), minimality by two
+searches and recurrence by walking, per state, the set of states that
+words of each length reach.
 
 Algorithm behind minimal_sets: for a single table T, any set that T
 permutes consists of whole T-cycles. So keep only states lying on a
@@ -320,23 +324,41 @@ def _minimal_sets_of(F: FiniteIFS, n: int, tables: Iterable[Table]) -> MinimalSe
     return MinimalSetReport(n=n, sets=sets, is_whole_space=whole)
 
 
-def _reachable_from(F: FiniteIFS, x: int) -> set[int]:
-    """States reachable from x by at least one map application."""
+def _images(F: FiniteIFS) -> list[tuple[int, ...]]:
+    """For each state x, the tuple (f(x) for each map f) in label order."""
+    return list(zip(*F._tables))
+
+
+def _reached(successors: Sequence[Iterable[int]], x: int) -> set[int]:
+    """States reached from x by one or more steps along successors."""
     seen: set[int] = set()
-    queue = deque(t[x] for t in F._tables)
+    queue = deque(successors[x])
     while queue:
         y = queue.popleft()
         if y in seen:
             continue
         seen.add(y)
-        queue.extend(t[y] for t in F._tables)
+        queue.extend(successors[y])
     return seen
 
 
 def is_minimal(F: FiniteIFS) -> bool:
-    """Whether every state's forward orbit under the system is all of X."""
-    full = set(F.states)
-    return all(_reachable_from(F, x) == full for x in F.states)
+    """Whether every state's forward orbit under the system is all of X.
+
+    That is strong connectivity of the union graph. If every state
+    reaches state 0 and state 0 reaches every state (itself included)
+    in one or more steps, then any x reaches any y, itself included, by
+    going through 0; the converse is immediate. So one forward and one
+    reverse search from state 0 decide it, in place of a search from
+    every state.
+    """
+    images = _images(F)
+    preimages: list[list[int]] = [[] for _ in images]
+    for x, ys in enumerate(images):
+        for y in ys:
+            preimages[y].append(x)
+    n = F.n_states
+    return len(_reached(images, 0)) == n and len(_reached(preimages, 0)) == n
 
 
 @dataclass(frozen=True)
@@ -401,24 +423,45 @@ def regularly_recurrent_points(F: FiniteIFS, horizon: int | None = None) -> froz
     splitting longer words into length-n pieces, and singletons are the
     smallest neighborhoods, so this finite check captures the notion of
     returning to every neighborhood along a full arithmetic progression.
+
+    The check reads only the x-column of the length-n tables: the set
+    R_n(x) of states that length-n words send x to. Every length-n word
+    fixes x exactly when R_n(x) = {x}, and R_{n+1}(x) is the union of
+    the images of R_n(x) under the maps, so the walk keeps one bitmask
+    per state instead of the tables. R_{n+1}(x) depends on R_n(x) alone,
+    so once a set repeats the sequence cycles through sets already
+    checked and the walk for x stops early.
     """
     if horizon is None:
         horizon = F.n_states * F.n_states
     if horizon < 1:
         raise InputError(f"horizon must be >= 1, got {horizon}")
+    step = [0] * F.n_states
+    for x, ys in enumerate(_images(F)):
+        for y in ys:
+            step[x] |= 1 << y
     found: set[int] = set()
-    for level in _word_layers(F, horizon):
-        for x in F.states:
-            if x not in found and all(t[x] == x for t in level):
+    for x in F.states:
+        reach, seen = step[x], set()
+        for _ in range(horizon):
+            if reach == 1 << x:
                 found.add(x)
-        if len(found) == F.n_states:
-            break
+                break
+            if reach in seen:
+                break
+            seen.add(reach)
+            rest, reach = reach, 0
+            while rest:
+                low = rest & -rest
+                reach |= step[low.bit_length() - 1]
+                rest ^= low
     return frozenset(found)
 
 
 def periodic_points(F: FiniteIFS) -> frozenset[int]:
     """States lying on a directed cycle of the union graph of all maps."""
-    return frozenset(x for x in F.states if x in _reachable_from(F, x))
+    images = _images(F)
+    return frozenset(x for x in F.states if x in _reached(images, x))
 
 
 # -- metric dynamics on a single map ---------------------------------------

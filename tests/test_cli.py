@@ -279,6 +279,15 @@ def test_ifs_analyze_output_file_and_determinism(capsys, z6two, tmp_path):
     assert b1.decode().startswith("# ifs analyze")
 
 
+def test_main_keeps_no_option_values_between_calls(capsys, z6two, tmp_path):
+    report = tmp_path / "report.txt"
+    assert main(["ifs", "analyze", z6two, "--output", str(report)]) == 0
+    assert capsys.readouterr().out == ""
+    code, out, _ = run(capsys, "ifs", "analyze", z6two)
+    assert code == 0
+    assert out == report.read_text()
+
+
 # -- tent ----------------------------------------------------------------------
 
 

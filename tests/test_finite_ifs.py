@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from addingmachine.errors import InputError, NoCanonicalCoverError
 from addingmachine.finite_ifs import (
@@ -353,6 +353,44 @@ def test_regularly_recurrent_points_match_definition(F, horizon):
         if any(all(t[x] == x for t in level) for level in fixing)
     }
     assert regularly_recurrent_points(F, horizon) == frozenset(expected)
+
+
+# an example may walk n^2 + 3 layers of up to ~10^4 tables, so keep few
+@settings(max_examples=30, deadline=None)
+@given(F=small_systems(), data=st.data())
+def test_regularly_recurrent_points_at_long_horizons(F, data):
+    n = F.n_states
+    horizon = data.draw(st.none() | st.integers(min_value=1, max_value=n * n + 3))
+    maps = [F.table(label) for label in F.labels]
+    level, expected = set(maps), set()
+    for _ in range(n * n if horizon is None else horizon):
+        expected |= {x for x in F.states if all(t[x] == x for t in level)}
+        level = {tuple(t[v] for v in prev) for prev in level for t in maps}
+    assert regularly_recurrent_points(F, horizon) == frozenset(expected)
+
+
+def test_regularly_recurrent_points_huge_horizon_matches_default():
+    for F in (Z4, Z6_TWO, NONSURJ):
+        assert regularly_recurrent_points(F, 10**9) == regularly_recurrent_points(F)
+
+
+@settings(max_examples=150, deadline=None)
+@given(F=small_systems())
+@example(F=rotation_system(1, [0]))
+@example(F=FiniteIFS({"a": (0,), "b": (0,)}))
+@example(F=NONSURJ)
+@example(F=CONST)
+@example(F=FiniteIFS({"a": (1, 1)}))
+def test_is_minimal_matches_definition(F):
+    def reached(x):
+        # a shortest walk of one or more steps has at most n steps
+        seen, frontier = set(), {x}
+        for _ in F.states:
+            frontier = {F.apply(label, y) for y in frontier for label in F.labels}
+            seen |= frontier
+        return seen
+
+    assert is_minimal(F) == all(reached(x) == set(F.states) for x in F.states)
 
 
 # -- shadowing and sensitivity ---------------------------------------------------
