@@ -293,7 +293,11 @@ def build_factor_map(F: FiniteIFS, tower: CyclicTower) -> FactorMap:
     if tower.depth == 0:
         return FactorMap(primes=(), digits=((),) * n, residues=(0,) * n)
     base = BaseSequence(prefix=tower.primes, tail=())
-    residues = tuple(tower.block_index(tower.depth, x) for x in range(n))
+    index_at = [
+        {x: j for j, block in enumerate(blocks) for x in block}
+        for blocks in tower.levels
+    ]
+    residues = tuple(index_at[-1][x] for x in range(n))
     digits = tuple(
         from_residue(base, tower.depth, r).digits for r in residues
     )
@@ -301,7 +305,7 @@ def build_factor_map(F: FiniteIFS, tower: CyclicTower) -> FactorMap:
     for level in range(1, tower.depth):
         m = tower.size(level)
         for x in range(n):
-            if tower.block_index(level, x) != residues[x] % m:
+            if index_at[level - 1][x] != residues[x] % m:
                 raise InternalConsistencyError(
                     f"level {level} index of state {x} breaks the digit chain"
                 )

@@ -21,12 +21,21 @@ searches and recurrence by walking, per state, the set of states that
 words of each length reach.
 
 Algorithm behind minimal_sets: for a single table T, any set that T
-permutes consists of whole T-cycles. So keep only states lying on a
-cycle of every length-n table, prune states whose cycle (under any
-table) leaves the surviving set until stable, then glue states that
-share a cycle of some table. The resulting components are exactly the
-minimal sets: every common invariant set is a union of components, and
-each component admits no smaller common invariant subset.
+maps onto itself consists of whole T-cycles, and the states on T-cycles
+are T's eventual image (the images X, T(X), T(T(X)), ... shrink until a
+step keeps the size; T then permutes that image). So, over the length-n
+tables: (1) intersect their eventual images, stopping if the
+intersection empties; (2) prune to the largest subset G that every
+table maps into itself, dropping each x with T(x) outside G until
+nothing drops; (3) glue x to T(x) for every table T and every x in G.
+Every state left by (1) lies on a T-cycle, so T maps G into itself
+exactly when each x in G has its whole T-cycle in G. Hence (2) reaches
+the same fixed point as pruning states whose cycle under some table
+leaves the surviving set, and (3) joins exactly the states that share a
+cycle of some table. The components are the minimal sets: every common
+invariant set is a union of components, and no component has a smaller
+common invariant subset. Each step is one pass over the layer, repeated
+once per state of the longest tail in (1) and once per round in (2).
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import InputError, NoCanonicalCoverError
 
@@ -205,12 +214,13 @@ def power_system(F: FiniteIFS, k: int) -> FiniteIFS:
 
 def _word_layers(F: FiniteIFS, limit: int):
     """Yield the set of distinct tables of word length 1, 2, ..., limit."""
-    level = set(F._tables)
+    level = frozenset(F._tables)
     yield level
     for _ in range(limit - 1):
-        level = {
-            tuple(t[v] for v in prev) for prev in level for t in F._tables
-        }
+        # a list comprehension builds each tuple about twice as fast as a generator
+        level = frozenset(
+            tuple([t[v] for v in prev]) for prev in level for t in F._tables
+        )
         yield level
 
 
@@ -244,39 +254,6 @@ class MinimalSetReport:
         return {frozenset(block) for block in self.sets}
 
 
-def _cycles_of_table(table: Table):
-    """For each state: whether it lies on a cycle, and that cycle's states."""
-    n = len(table)
-    color = [0] * n  # 0 new, 1 on current path, 2 finished
-    on_cycle = [False] * n
-    for start in range(n):
-        if color[start]:
-            continue
-        path = []
-        x = start
-        while color[x] == 0:
-            color[x] = 1
-            path.append(x)
-            x = table[x]
-        if color[x] == 1:  # closed a new cycle inside this walk
-            for y in path[path.index(x):]:
-                on_cycle[y] = True
-        for y in path:
-            color[y] = 2
-    cycle_of: dict[int, tuple[int, ...]] = {}
-    for x in range(n):
-        if on_cycle[x] and x not in cycle_of:
-            cyc = [x]
-            y = table[x]
-            while y != x:
-                cyc.append(y)
-                y = table[y]
-            member_tuple = tuple(cyc)
-            for z in cyc:
-                cycle_of[z] = member_tuple
-    return on_cycle, cycle_of
-
-
 def minimal_sets(F: FiniteIFS, n: int) -> MinimalSetReport:
     """All minimal sets of the n-th power of the system.
 
@@ -286,21 +263,24 @@ def minimal_sets(F: FiniteIFS, n: int) -> MinimalSetReport:
     return _minimal_sets_of(F, n, tables_of_length(F, n))
 
 
-def _minimal_sets_of(F: FiniteIFS, n: int, tables: Iterable[Table]) -> MinimalSetReport:
+def _minimal_sets_of(F: FiniteIFS, n: int, tables: Collection[Table]) -> MinimalSetReport:
     """minimal_sets for the given length-n tables; their order is irrelevant."""
-    infos = [_cycles_of_table(t) for t in tables]
     good = set(F.states)
-    for on_cycle, _ in infos:
-        good &= {x for x in F.states if on_cycle[x]}
-    # a surviving state needs its whole cycle, under every table, to survive
-    changed = True
-    while changed:
-        changed = False
-        for _, cycle_of in infos:
-            for x in list(good):
-                if x in good and any(z not in good for z in cycle_of[x]):
-                    good.discard(x)
-                    changed = True
+    for t in tables:
+        image = set(t)
+        while True:
+            shrunk = {t[x] for x in image}
+            if len(shrunk) == len(image):
+                break
+            image = shrunk
+        good &= image
+        if not good:
+            break
+    while True:
+        dropped = {x for t in tables for x in good if t[x] not in good}
+        if not dropped:
+            break
+        good -= dropped
     parent = {x: x for x in good}
 
     def find(x: int) -> int:
@@ -309,13 +289,11 @@ def _minimal_sets_of(F: FiniteIFS, n: int, tables: Iterable[Table]) -> MinimalSe
             x = parent[x]
         return x
 
-    for _, cycle_of in infos:
+    for t in tables:
         for x in good:
-            root = find(x)
-            for z in cycle_of[x]:
-                rz = find(z)
-                if rz != root:
-                    parent[rz] = root
+            rx, ry = find(x), find(t[x])
+            if rx != ry:
+                parent[ry] = rx
     blocks: dict[int, list[int]] = {}
     for x in sorted(good):
         blocks.setdefault(find(x), []).append(x)
@@ -380,15 +358,26 @@ class NMSet:
 
 
 def nm_set(F: FiniteIFS, bound: int) -> NMSet:
-    """Members n <= bound: some n-th power minimal set is new at n."""
+    """Members n <= bound: some n-th power minimal set is new at n.
+
+    The layer of length-(n+1) tables depends on the length-n layer
+    alone. So once a layer equals an earlier one, every later layer, and
+    with it every later collection of minimal sets, repeats an earlier
+    one, no new member can appear, and the walk stops there. The
+    returned bound is the one asked for, however early the walk stopped.
+    """
     if bound < 1:
         raise InputError(f"bound must be >= 1, got {bound}")
     if not is_minimal(F):
         raise InputError("system is not minimal; its power structure is undefined here")
     members = []
     earlier: set[frozenset[int]] = set()
-    for n, tables in enumerate(_word_layers(F, bound), start=1):
-        collection = _minimal_sets_of(F, n, tables).as_frozensets()
+    seen_layers: set[frozenset[Table]] = set()
+    for n, layer in enumerate(_word_layers(F, bound), start=1):
+        if layer in seen_layers:
+            break
+        seen_layers.add(layer)
+        collection = _minimal_sets_of(F, n, layer).as_frozensets()
         if n == 1 or not collection <= earlier:
             members.append(n)
         earlier |= collection

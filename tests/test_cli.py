@@ -153,6 +153,12 @@ def test_ifs_analyze_six_cycle(capsys, tmp_path):
     assert "equivariance a: PASS" in out
 
 
+def test_ifs_analyze_huge_bound_returns(capsys, z6two):
+    code, out, _ = run(capsys, "ifs", "analyze", z6two, "--bound", "1000000000")
+    assert code == 0
+    assert "spectrum: 1 2\n" in out
+
+
 def test_ifs_verify_passes(capsys, tmp_path):
     p = tmp_path / "z4.ifs"
     p.write_text("states: 0 1 2 3\nlabel a: 1 2 3 0\n")

@@ -35,7 +35,11 @@ NONSURJ = FiniteIFS({"a": (1, 2, 3, 0), "b": (1, 0, 1, 0)})
 
 def brute_minimal_sets(F, n):
     """Oracle: enumerate every subset and apply the definition directly."""
-    tabs = tables_of_length(F, n)
+    return brute_minimal_sets_of(F, tables_of_length(F, n))
+
+
+def brute_minimal_sets_of(F, tabs):
+    """brute_minimal_sets for the given collection of word tables."""
     states = list(F.states)
     fixed = [
         frozenset(A)
@@ -264,6 +268,13 @@ def test_nm_set_examples():
     assert nm_set(CONST, 3).members == (1,)
 
 
+def test_nm_set_huge_bound_matches_state_count_bound():
+    for F in (Z6, Z6_TWO, NONSURJ):
+        huge = nm_set(F, 10**9)
+        assert huge.members == nm_set(F, F.n_states).members
+        assert huge.bound == 10**9
+
+
 def test_nm_set_rejects_bad_input():
     with pytest.raises(InputError):
         nm_set(rotation_system(4, [2]), 4)  # not minimal
@@ -330,6 +341,17 @@ def test_tables_of_length_matches_word_enumeration(F, n):
     assert tables_of_length(F, n) == sorted(word_tables(F, n))
 
 
+@settings(max_examples=150, deadline=None)
+@given(F=small_systems(), n=st.integers(min_value=1, max_value=3))
+@example(F=NONSURJ, n=1)
+@example(F=NONSURJ, n=2)
+@example(F=CONST, n=1)
+@example(F=FiniteIFS({"a": (1, 2, 0, 0)}), n=1)
+@example(F=FiniteIFS({"a": (1, 2, 0, 0)}), n=3)
+def test_minimal_sets_match_brute_force_on_small_systems(F, n):
+    assert minimal_sets(F, n).sets == brute_minimal_sets(F, n)
+
+
 @settings(max_examples=80, deadline=None)
 @given(F=small_systems(), bound=st.integers(min_value=1, max_value=6))
 def test_nm_set_matches_per_length_definition(F, bound):
@@ -341,6 +363,22 @@ def test_nm_set_matches_per_length_definition(F, bound):
         if collection - earlier:
             members.append(n)
         earlier |= collection
+    assert nm_set(F, bound).members == tuple(members)
+
+
+# an example may walk n^2 + 3 layers of up to ~10^4 tables, so keep few
+@settings(max_examples=30, deadline=None)
+@given(F=small_systems().filter(is_minimal), data=st.data())
+def test_nm_set_at_long_bounds_matches_per_length_definition(F, data):
+    bound = data.draw(st.integers(min_value=1, max_value=F.n_states ** 2 + 3))
+    maps = [F.table(label) for label in F.labels]
+    level, members, earlier = set(maps), [], set()
+    for n in range(1, bound + 1):
+        collection = set(brute_minimal_sets_of(F, level))
+        if n == 1 or collection - earlier:
+            members.append(n)
+        earlier |= collection
+        level = {tuple(t[v] for v in prev) for prev in level for t in maps}
     assert nm_set(F, bound).members == tuple(members)
 
 
