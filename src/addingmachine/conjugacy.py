@@ -8,15 +8,30 @@ with the successor map of the mixed-radix adding machine. Towers are
 grown one prime at a time through mod-n colorings: a coloring mod n
 labels states with Z_n so that every map advances the label by one.
 
-With the block containing state 0 pinned to index 0, the coloring at
-each size is unique, so tower growth, the resulting factor map, and all
-reports here are deterministic.
+A coloring is read off one breadth-first search of the union graph
+from state 0, labels scanned in order. Let l(x) be the level at which
+x is found (minimality makes every state found) and let the period d
+be the gcd of l(x) + 1 - l(y) over all edges x -> y. A mod-n coloring
+c with c(0) = 0 is l mod n: every state y other than 0 was first found
+along an edge x -> y with l(y) = l(x) + 1, where c(y) = c(x) + 1, so
+induction on l gives c(y) = l(y) mod n. Hence the coloring is unique
+(so tower growth, factor maps and all reports here are deterministic),
+and it exists iff n divides l(x) + 1 - l(y) on every edge, that is iff
+n divides d. The differences sum to the length of any closed walk, so
+d divides every cycle length and is at most the number of states |X|.
+
+A tower level of size m is a coloring mod m up to a shift, so m
+divides d. Each map carries its block j onto block j + 1, so block
+sizes cannot grow around the cycle and are all equal: m divides |X|
+too. A tower of top size m can thus grow by a prime p only if p
+divides |X| / m, and those are the only primes extend_tower tries.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import prod
 
 from ._intmath import factorize
 from .errors import InputError, InternalConsistencyError
@@ -65,38 +80,43 @@ class ColoringObstruction:
 def find_mod_n_coloring(F: FiniteIFS, n: int):
     """The unique mod-n coloring with state 0 colored 0, or an obstruction.
 
-    Requires n >= 2 and a minimal system. Colors propagate breadth-first
-    from state 0; minimality makes every state reachable and every edge
-    is checked once, so success really is a coloring and failure returns
-    the first contradicted edge in scan order.
+    Requires n >= 2 and a minimal system. The coloring is the BFS level
+    l mod n (see the module docstring). The search stops at the first
+    edge x -> y in scan order that breaks it and returns it as the
+    obstruction, with expected = (l(x) + 1) mod n and found = l(y) mod n.
     """
     if n < 2:
         raise InputError(f"coloring modulus must be >= 2, got {n}")
     if not is_minimal(F):
         raise InputError("mod-n colorings are defined for minimal systems only")
-    colors: list[int | None] = [None] * F.n_states
-    colors[0] = 0
+    levels: list[int | None] = [None] * F.n_states
+    levels[0] = 0
     queue = [0]
-    head = 0
-    while head < len(queue):
-        x = queue[head]
-        head += 1
-        want = (colors[x] + 1) % n
+    for x in queue:
         for label in F.labels:
             y = F.table(label)[x]
-            if colors[y] is None:
-                colors[y] = want
+            if levels[y] is None:
+                levels[y] = levels[x] + 1
                 queue.append(y)
-            elif colors[y] != want:
+            elif (levels[x] + 1 - levels[y]) % n:
                 return ColoringObstruction(
                     n=n, state=x, label=label, successor=y,
-                    expected=want, found=colors[y],
+                    expected=(levels[x] + 1) % n, found=levels[y] % n,
                 )
-    assert None not in colors  # minimality: everything is reachable from 0
-    return ModNColoring(n=n, colors=tuple(colors))
+    return ModNColoring(n=n, colors=tuple(level % n for level in levels))
 
 
 # -- towers ------------------------------------------------------------------
+
+
+def _first_not_onto(F: FiniteIFS, blocks):
+    """First (label, j) whose map does not carry block j onto block j + 1."""
+    for label in F.labels:
+        t = F.table(label)
+        for j, block in enumerate(blocks):
+            if {t[x] for x in block} != set(blocks[(j + 1) % len(blocks)]):
+                return label, j
+    return None
 
 
 @dataclass(frozen=True)
@@ -113,6 +133,9 @@ class CyclicTower:
     primes: tuple[int, ...]
     levels: tuple[tuple[tuple[int, ...], ...], ...]
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     @classmethod
     def trivial(cls, system: FiniteIFS) -> "CyclicTower":
         return cls(system=system, primes=(), levels=())
@@ -123,10 +146,9 @@ class CyclicTower:
 
     def size(self, i: int) -> int:
         """Number of blocks at level i (level 0 is the whole space)."""
-        out = 1
-        for p in self.primes[:i]:
-            out *= p
-        return out
+        if not 0 <= i <= self.depth:
+            raise InputError(f"tower level {i} outside 0..{self.depth}")
+        return prod(self.primes[:i])
 
     @property
     def top_size(self) -> int:
@@ -134,6 +156,8 @@ class CyclicTower:
 
     def block_index(self, level: int, x: int) -> int:
         """Index of the block of x at the given level (1-based level)."""
+        if not 1 <= level <= self.depth:
+            raise InputError(f"tower level {level} outside 1..{self.depth}")
         for j, block in enumerate(self.levels[level - 1]):
             if x in block:
                 return j
@@ -157,13 +181,12 @@ class CyclicTower:
                 seen.extend(block)
             if sorted(seen) != states:
                 raise InputError(f"level {i} blocks do not partition the states")
-            for label in self.system.labels:
-                t = self.system.table(label)
-                for j, block in enumerate(level):
-                    if {t[x] for x in block} != set(level[(j + 1) % m]):
-                        raise InputError(
-                            f"map {label!r} does not send level-{i} block {j} onto block {(j + 1) % m}"
-                        )
+            broken = _first_not_onto(self.system, level)
+            if broken is not None:
+                label, j = broken
+                raise InputError(
+                    f"map {label!r} does not send level-{i} block {j} onto block {(j + 1) % m}"
+                )
             if i >= 2:
                 prev_m = self.size(i - 1)
                 prev = self.levels[i - 2]
@@ -177,49 +200,38 @@ class CyclicTower:
 def extend_tower(F: FiniteIFS, tower: CyclicTower):
     """All one-prime extensions of the tower, smallest prime first.
 
-    For each prime p with p * top_size <= number of states, attempts the
-    mod-(p * top_size) coloring; the extension is kept when the coloring
-    exists and every map carries each fiber onto (not just into) the
-    next. Fibers are shifted so their indices reduce to the existing
-    tower's block indices, which keeps the chain nested.
+    Every map carries a level's block j onto block j + 1, so all blocks
+    of a level have one size and the level size divides the state count
+    |X|. The candidates are therefore the primes p dividing |X| / m, m
+    the top size of the tower, and each one's level is the fibers of the
+    coloring mod p * m, if there is one, rotated so their indices
+    reduce to the tower's block indices, which keeps the chain nested.
+    An extension is kept when every map carries each fiber onto (not
+    just into) the next.
     """
     if tower.system != F:
         raise InputError("tower belongs to a different system")
-    tower.validate()
+    if not is_minimal(F):
+        raise InputError("towers are defined for minimal systems only")
     m = tower.top_size
+    shift = tower.block_index(tower.depth, 0) if tower.depth else 0
     out = []
-    for p in range(2, F.n_states // m + 1):
-        if factorize(p) != {p: 1}:
-            continue
+    for p in sorted(factorize(F.n_states // m)):
         size = p * m
         coloring = find_mod_n_coloring(F, size)
         if isinstance(coloring, ColoringObstruction):
             continue
-        shift = tower.block_index(tower.depth, 0) if tower.depth else 0
-        colors = tuple((c + shift) % size for c in coloring.colors)
-        fibers: list[list[int]] = [[] for _ in range(size)]
-        for x, c in enumerate(colors):
-            fibers[c].append(x)
-        level = tuple(tuple(f) for f in fibers)
-        onto = all(
-            {F.table(label)[x] for x in level[j]} == set(level[(j + 1) % size])
-            for label in F.labels
-            for j in range(size)
-        )
-        if not onto:
-            continue
-        candidate = CyclicTower(
-            system=F, primes=tower.primes + (p,), levels=tower.levels + (level,)
-        )
-        candidate.validate()
-        out.append((p, candidate))
+        fibers = coloring.fibers()
+        blocks = tuple(fibers[(j - shift) % size] for j in range(size))
+        if _first_not_onto(F, blocks) is None:
+            out.append((p, CyclicTower(
+                system=F, primes=tower.primes + (p,), levels=tower.levels + (blocks,)
+            )))
     return out
 
 
 def max_tower(F: FiniteIFS) -> CyclicTower:
     """Grow a tower greedily, always taking the smallest viable prime."""
-    if not is_minimal(F):
-        raise InputError("towers are defined for minimal systems only")
     tower = CyclicTower.trivial(F)
     while True:
         extensions = extend_tower(F, tower)
@@ -288,27 +300,17 @@ def build_factor_map(F: FiniteIFS, tower: CyclicTower) -> FactorMap:
     """Digit vectors read off the tower: state x gets its block indices."""
     if tower.system != F:
         raise InputError("tower belongs to a different system")
-    tower.validate()
     n = F.n_states
     if tower.depth == 0:
         return FactorMap(primes=(), digits=((),) * n, residues=(0,) * n)
     base = BaseSequence(prefix=tower.primes, tail=())
-    index_at = [
-        {x: j for j, block in enumerate(blocks) for x in block}
-        for blocks in tower.levels
-    ]
-    residues = tuple(index_at[-1][x] for x in range(n))
+    # nesting, checked when the tower was built, makes the top block
+    # index determine every level's index
+    index_at = {x: j for j, block in enumerate(tower.levels[-1]) for x in block}
+    residues = tuple(index_at[x] for x in range(n))
     digits = tuple(
         from_residue(base, tower.depth, r).digits for r in residues
     )
-    # nesting makes the top block index determine every level's index
-    for level in range(1, tower.depth):
-        m = tower.size(level)
-        for x in range(n):
-            if index_at[level - 1][x] != residues[x] % m:
-                raise InternalConsistencyError(
-                    f"level {level} index of state {x} breaks the digit chain"
-                )
     return FactorMap.from_digits(tower.primes, digits)
 
 
@@ -374,7 +376,6 @@ def tower_to_alpha(tower: CyclicTower) -> AlphaReport:
     the power spectrum signals a bug or a guard leak, and raises
     InternalConsistencyError rather than returning a report.
     """
-    tower.validate()
     F = tower.system
     tower_counts = Counter(tower.primes)
     spectrum = [factorize(s) for s in nm_set(F, F.n_states)]

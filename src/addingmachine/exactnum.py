@@ -206,9 +206,6 @@ class Surd:
 
     # -- conversions ---------------------------------------------------
 
-    def __float__(self):
-        return float(self.a) + float(self.b) * self.r ** 0.5
-
     def __repr__(self):
         return f"Surd({self.a!r}, {self.b!r}, {self.r})"
 

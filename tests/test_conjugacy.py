@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
 
 from addingmachine.conjugacy import (
     AlphaReport,
@@ -20,10 +21,12 @@ from addingmachine.errors import InputError, InternalConsistencyError
 from addingmachine.finite_ifs import (
     FiniteIFS,
     compose,
+    is_minimal,
     regularly_recurrent_points,
     rotation_system,
 )
 from addingmachine.odometer import BaseSequence, OdometerPoint
+from strategies import small_systems
 
 Z4 = rotation_system(4, [1])
 Z6 = rotation_system(6, [1])
@@ -73,6 +76,60 @@ def test_coloring_input_errors():
         find_mod_n_coloring(rotation_system(4, [2]), 2)
 
 
+def reference_coloring(F, n):
+    """Oracle: propagate colors breadth-first from state 0 for one modulus."""
+    colors = [None] * F.n_states
+    colors[0] = 0
+    queue = [0]
+    head = 0
+    while head < len(queue):
+        x = queue[head]
+        head += 1
+        want = (colors[x] + 1) % n
+        for label in F.labels:
+            y = F.table(label)[x]
+            if colors[y] is None:
+                colors[y] = want
+                queue.append(y)
+            elif colors[y] != want:
+                return ColoringObstruction(
+                    n=n, state=x, label=label, successor=y,
+                    expected=want, found=colors[y],
+                )
+    return ModNColoring(n=n, colors=tuple(colors))
+
+
+def reference_extensions(F):
+    """Oracle: extensions of the trivial tower, one coloring search per prime."""
+    out = []
+    for p in range(2, F.n_states + 1):
+        if any(p % q == 0 for q in range(2, p)):
+            continue
+        coloring = reference_coloring(F, p)
+        if isinstance(coloring, ColoringObstruction):
+            continue
+        level = coloring.fibers()
+        if all(
+            {F.table(label)[x] for x in level[j]} == set(level[(j + 1) % p])
+            for label in F.labels
+            for j in range(p)
+        ):
+            out.append((p, level))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(F=small_systems().filter(is_minimal))
+@example(F=NONSURJ)
+@example(F=Z6_TWO)
+@example(F=rotation_system(1, [0]))
+def test_one_search_matches_per_modulus_search(F):
+    for n in range(2, F.n_states + 3):
+        assert find_mod_n_coloring(F, n) == reference_coloring(F, n)
+    extensions = extend_tower(F, CyclicTower.trivial(F))
+    assert [(p, t.levels[-1]) for p, t in extensions] == reference_extensions(F)
+
+
 # -- towers --------------------------------------------------------------------
 
 
@@ -85,6 +142,14 @@ def test_tower_accessors():
     assert Z4_TOWER.block_index(2, 3) == 3
     Z4_TOWER.validate()
     CyclicTower.trivial(Z4).validate()
+    for level in (0, 3, -1):
+        with pytest.raises(InputError, match="outside 1..2"):
+            Z4_TOWER.block_index(level, 1)
+    for i in (-1, 3, 5):
+        with pytest.raises(InputError, match="outside 0..2"):
+            Z4_TOWER.size(i)
+    with pytest.raises(InputError, match="outside 1..0"):
+        CyclicTower.trivial(Z4).block_index(1, 0)
 
 
 def test_tower_validate_rejects_corruption():
@@ -103,6 +168,9 @@ def test_tower_validate_rejects_corruption():
         ).validate()
     with pytest.raises(InputError, match="mismatched"):
         CyclicTower(Z4, (2, 2), (((0, 2), (1, 3)),)).validate()
+    # construction alone validates, so no invalid tower can be passed on
+    with pytest.raises(InputError, match="onto"):
+        CyclicTower(Z4, (2,), (((0, 1), (2, 3)),))
 
 
 def test_extend_tower_orders_primes():
@@ -121,6 +189,15 @@ def test_extend_tower_mixed_rotation_stops_at_two():
     # so only the factor-2 extension survives
     exts = extend_tower(Z6_TWO, CyclicTower.trivial(Z6_TWO))
     assert [p for p, _ in exts] == [2]
+
+
+def test_extend_tower_keeps_a_shifted_tower_nested():
+    # state 0 sits in block 1, so the new fibers must be rotated by one
+    # to land inside the blocks of the level above
+    shifted = CyclicTower(Z4, (2,), (((1, 3), (0, 2)),))
+    exts = extend_tower(Z4, shifted)
+    assert [p for p, _ in exts] == [2]
+    assert exts[0][1].levels[-1] == ((3,), (0,), (1,), (2,))
 
 
 def test_extend_tower_requires_matching_system():

@@ -117,11 +117,6 @@ def test_hash_consistency():
     assert len(values) == 3
 
 
-def test_float_approximation_sane():
-    assert abs(float(R2) - 2 ** 0.5) < 1e-12
-    assert abs(float(2 - R2) - (2 - 2 ** 0.5)) < 1e-12
-
-
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
 )

@@ -22,6 +22,7 @@ from addingmachine.finite_ifs import (
     rotation_system,
     tables_of_length,
 )
+from strategies import small_systems
 
 Z6 = rotation_system(6, [1])
 Z6_TWO = rotation_system(6, [1, 3])
@@ -318,19 +319,6 @@ def test_periodic_points():
 # -- the word-layer walk against per-length references ---------------------------
 
 
-@st.composite
-def small_systems(draw):
-    """1-3 labels on at most 6 states; each map a permutation or arbitrary."""
-    n = draw(st.integers(min_value=1, max_value=6))
-    tables = {}
-    for label in "abc"[: draw(st.integers(min_value=1, max_value=3))]:
-        if draw(st.booleans()):
-            tables[label] = tuple(draw(st.permutations(range(n))))
-        else:
-            tables[label] = tuple(draw(st.integers(0, n - 1)) for _ in range(n))
-    return FiniteIFS(tables)
-
-
 def word_tables(F, n):
     return {compose(F, w) for w in itertools.product(F.labels, repeat=n)}
 
@@ -400,10 +388,15 @@ def test_regularly_recurrent_points_at_long_horizons(F, data):
     n = F.n_states
     horizon = data.draw(st.none() | st.integers(min_value=1, max_value=n * n + 3))
     maps = [F.table(label) for label in F.labels]
-    level, expected = set(maps), set()
+    level, expected, seen = frozenset(maps), set(), set()
     for _ in range(n * n if horizon is None else horizon):
+        # each layer is a function of the previous one, so once a layer
+        # repeats, every later one has been seen and expected is final
+        if level in seen:
+            break
+        seen.add(level)
         expected |= {x for x in F.states if all(t[x] == x for t in level)}
-        level = {tuple(t[v] for v in prev) for prev in level for t in maps}
+        level = frozenset(tuple(t[v] for v in prev) for prev in level for t in maps)
     assert regularly_recurrent_points(F, horizon) == frozenset(expected)
 
 
