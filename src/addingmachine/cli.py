@@ -248,6 +248,8 @@ def _cmd_tent(args) -> int:
         step = parse_exact(args.step)
         if step <= 0:
             raise InputError("step must be positive")
+        if not args.primes and args.n is None:
+            raise InputError("tent sweep needs --n or --primes")
         rows = ["a,level_certified,cycle_lengths,status"]
         margin = parse_exact(args.margin)
         primes = _parse_primes(args.primes) if args.primes else None
@@ -257,29 +259,15 @@ def _cmd_tent(args) -> int:
                 cert = interval_dynamics.tower_certificate(
                     a, primes, transient=args.transient, window=args.window, margin=margin
                 )
-                certified = [
-                    str(size) for size, det in zip(cert.sizes, cert.levels)
-                    if det.status == "certified"
-                ]
-                status = (
-                    "certified" if cert.deepest_certified == len(cert.sizes)
-                    else cert.levels[cert.deepest_certified].status
-                )
-                rows.append(
-                    f"{format_exact(a)},{cert.deepest_certified},"
-                    f"{';'.join(certified)},{status}"
-                )
-            else:
-                if args.n is None:
-                    raise InputError("tent sweep needs --n or --primes")
+                sizes, levels, deepest = cert.sizes, cert.levels, cert.deepest_certified
+            else:  # one level of size n, reported like a one-level tower
                 det = interval_dynamics.detect_interval_cycle(
                     a, args.n, transient=args.transient, window=args.window, margin=margin
                 )
-                certified = det.status == "certified"
-                rows.append(
-                    f"{format_exact(a)},{1 if certified else 0},"
-                    f"{args.n if certified else ''},{det.status}"
-                )
+                sizes, levels, deepest = (args.n,), (det,), int(det.status == "certified")
+            certified = [str(size) for size, lv in zip(sizes, levels) if lv.status == "certified"]
+            status = "certified" if deepest == len(sizes) else levels[deepest].status
+            rows.append(f"{format_exact(a)},{deepest},{';'.join(certified)},{status}")
             a = a + step
         _emit("\n".join(rows) + "\n", getattr(args, "output", None))
         return 0

@@ -279,10 +279,7 @@ class FactorMap:
 
     @property
     def modulus(self) -> int:
-        out = 1
-        for p in self.primes:
-            out *= p
-        return out
+        return prod(self.primes)
 
     def base(self) -> BaseSequence:
         if not self.primes:

@@ -2,9 +2,11 @@
 
 Numbers are either plain Fractions or Surd objects a + b*sqrt(r) with
 rational a, b, b != 0, and r a squarefree integer >= 2. All arithmetic
-and every comparison is exact; nothing here ever rounds. Combining two
-surds with different radicands raises ExactnessError instead of silently
-falling back to floats.
+and every comparison is exact; nothing here ever rounds. Comparisons and
+signs all go through one integer rule (_sign): compare a^2 with b^2*r
+when a and b have opposite signs. Combining two surds with different
+radicands raises ExactnessError instead of silently falling back to
+floats.
 
 The canonical text form is (p+q*sqrt(r))/s with integers p, q, r, s,
 s > 0. parse_exact also accepts plain integers, fractions p/q, decimal
@@ -79,23 +81,8 @@ class Surd:
             )
 
     def sign(self) -> int:
-        """Exact sign of a + b*sqrt(r), by comparing a^2 with b^2 r."""
-        a, b = self.a, self.b
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: |a| vs |b| sqrt(r)
-        lhs, rhs = a * a, b * b * self.r
-        if a > 0:  # b < 0
-            if lhs == rhs:
-                return 0  # impossible for squarefree r >= 2, kept for clarity
-            return 1 if lhs > rhs else -1
-        if lhs == rhs:
-            return 0
-        return -1 if lhs > rhs else 1
+        """Exact sign of a + b*sqrt(r)."""
+        return _sign(self.a, self.b, self.r)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -175,11 +162,10 @@ class Surd:
     def _cmp(self, other) -> int:
         q = _coerce_rational(other)
         if q is not None:
-            return Surd(self.a - q, self.b, self.r).sign()
+            return _sign(self.a - q, self.b, self.r)
         if isinstance(other, Surd):
             self._check_compatible(other)
-            diff = surd(self.a - other.a, self.b - other.b, self.r)
-            return exact_sign(diff)
+            return _sign(self.a - other.a, self.b - other.b, self.r)
         raise TypeError(f"cannot compare Surd with {type(other).__name__}")
 
     def __eq__(self, other):
@@ -224,10 +210,28 @@ def surd(a, b, r: int) -> ExactNumber:
     return Surd(a, b * k, m)
 
 
+def _sign(a, b, r: int) -> int:
+    """Exact sign of a + b*sqrt(r) for rational a, b and squarefree r >= 2.
+
+    The module's one sign rule: Surd.sign, every Surd comparison and
+    exact_sign end here. If a and b do not have opposite signs, the
+    nonzero one decides (b = 0 gives the sign of a for any r). Otherwise
+    |a| is compared with |b|*sqrt(r) through a^2 against b^2*r, cleared
+    of denominators. The two are never equal: a^2 = b^2*r with b != 0
+    would make sqrt(r) rational, and a squarefree r >= 2 has no rational
+    square root.
+    """
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    sa, sb = (an > 0) - (an < 0), (bn > 0) - (bn < 0)
+    if sa * sb >= 0:
+        return sa or sb
+    return sa if (an * bd) ** 2 > (bn * ad) ** 2 * r else sb
+
+
 def exact_sign(x: ExactNumber) -> int:
     if isinstance(x, Surd):
         return x.sign()
-    return (x > 0) - (x < 0)
+    return _sign(x, 0, 0)
 
 
 def exact_sqrt(x) -> ExactNumber:

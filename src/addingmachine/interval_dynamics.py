@@ -5,6 +5,12 @@ T_a(x) = a*x for x < 1/2 and a*(1-x) for x >= 1/2, with slope a in
 orbits, kneading symbols, and interval endpoints are all exact; cycles
 are detected by exact equality, never by closeness.
 
+Every orbit comes from one walk, _orbit, the module's only caller of
+tent_eval: it yields x, T(x), T(T(x)), ... and checks each point
+against [0, 1] before yielding it. After the starting point that check
+always passes, because T_a maps [0, 1] into [0, a/2] and a <= 2; it
+stays so that an outside starting point is rejected.
+
 The renormalization detector looks for n closed intervals, one per
 residue class of the iteration index, that are pairwise disjoint and
 cyclically permuted by the map. Such a family is the interval
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .errors import InputError
 from .exactnum import ExactNumber, Surd, exact_sign, format_exact, parse_exact
@@ -51,21 +58,27 @@ class TentParam:
         return cls(parse_exact(text))
 
 
-def _slope(a) -> ExactNumber:
-    if isinstance(a, TentParam):
-        return a.a
-    return TentParam(_coerce(a)).a
+def _slope(a) -> TentParam:
+    return a if isinstance(a, TentParam) else TentParam(a)
 
 
 def tent_eval(a, x) -> ExactNumber:
     """One exact application of the tent map; x must lie in [0, 1]."""
-    a = _slope(a)
+    a = _slope(a).a
     x = _coerce(x)
     if x < 0 or x > 1:
         raise InputError(f"point {format_exact(x)} outside [0, 1]")
     if x < HALF:
         return a * x
     return a * (1 - x)
+
+
+def _orbit(param: TentParam, x):
+    """Yield x, T(x), T(T(x)), ...; each point is checked before it is yielded."""
+    while True:
+        nxt = tent_eval(param, x)
+        yield x
+        x = nxt
 
 
 @dataclass(frozen=True)
@@ -95,21 +108,18 @@ def critical_orbit(a, budget: int = 64) -> OrbitSegment:
     a = _slope(a)
     if budget < 0:
         raise InputError(f"budget must be >= 0, got {budget}")
-    points = [Fraction(1, 2)]
-    seen = {points[0]: 0}
-    for _ in range(budget):
-        nxt = tent_eval(a, points[-1])
-        if nxt in seen:
-            first = seen[nxt]
+    seen: dict = {}  # point -> index, in orbit order
+    for x in islice(_orbit(a, HALF), budget + 1):
+        if x in seen:
+            first = seen[x]
             return OrbitSegment(
-                points=tuple(points),
+                points=tuple(seen),
                 status="exact-cycle-found",
                 cycle_start=first,
-                period=len(points) - first,
+                period=len(seen) - first,
             )
-        seen[nxt] = len(points)
-        points.append(nxt)
-    return OrbitSegment(points=tuple(points), status="transient-only")
+        seen[x] = len(seen)
+    return OrbitSegment(points=tuple(seen), status="transient-only")
 
 
 def kneading_sequence(a, length: int) -> str:
@@ -117,13 +127,8 @@ def kneading_sequence(a, length: int) -> str:
     a = _slope(a)
     if length < 0:
         raise InputError(f"length must be >= 0, got {length}")
-    out = []
-    x: ExactNumber = Fraction(1, 2)
-    for _ in range(length):
-        x = tent_eval(a, x)
-        s = exact_sign(x - HALF)
-        out.append("L" if s < 0 else ("C" if s == 0 else "R"))
-    return "".join(out)
+    orbit = islice(_orbit(a, HALF), 1, length + 1)
+    return "".join("CRL"[exact_sign(x - HALF)] for x in orbit)  # sign -1 picks "L"
 
 
 @dataclass(frozen=True)
@@ -151,13 +156,7 @@ def omega_limit_estimate(a, y, transient: int, window: int, resolution=0) -> Ome
         raise InputError("need transient >= 0 and window >= 1")
     if resolution < 0:
         raise InputError("resolution must be >= 0")
-    x = y
-    for _ in range(transient):
-        x = tent_eval(a, x)
-    samples = []
-    for _ in range(window):
-        samples.append(x)
-        x = tent_eval(a, x)
+    samples = tuple(islice(_orbit(a, y), transient, transient + window))
     ordered = sorted(set(samples))
     intervals = []
     lo = hi = ordered[0]
@@ -173,7 +172,7 @@ def omega_limit_estimate(a, y, transient: int, window: int, resolution=0) -> Ome
         resolution=resolution,
         transient=transient,
         window=window,
-        samples=tuple(samples),
+        samples=samples,
     )
 
 
@@ -227,13 +226,9 @@ def detect_interval_cycle(a, n: int, transient: int = 0, window: int = 64, margi
         raise InputError("need transient >= 0 and window >= 1")
     if margin < 0:
         raise InputError("margin must be >= 0")
-    x: ExactNumber = Fraction(1, 2)
-    for _ in range(transient):
-        x = tent_eval(a, x)
     groups: list[list[ExactNumber]] = [[] for _ in range(n)]
-    for k in range(window):
-        groups[(transient + k) % n].append(x)
-        x = tent_eval(a, x)
+    for k, x in enumerate(islice(_orbit(a, HALF), transient, transient + window), transient):
+        groups[k % n].append(x)
     if any(not g for g in groups):
         return CycleDetection(
             n=n, status="inconclusive", transient=transient, window=window, margin=margin
@@ -259,7 +254,7 @@ def detect_interval_cycle(a, n: int, transient: int = 0, window: int = 64, margi
                 margin=margin, overlap=(prev, nxt),
             )
     for j in range(n):
-        img = _tent_image(a, *hulls[j])
+        img = _tent_image(a.a, *hulls[j])
         target = hulls[(j + 1) % n]
         if img[0] < target[0] or img[1] > target[1]:
             return CycleDetection(
@@ -319,5 +314,5 @@ def tower_certificate(a, primes, transient: int = 0, window: int = 64, margin=0)
             break
         deepest += 1
     return TowerCertificate(
-        slope=a, sizes=tuple(sizes), levels=levels, deepest_certified=deepest
+        slope=a.a, sizes=tuple(sizes), levels=levels, deepest_certified=deepest
     )

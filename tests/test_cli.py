@@ -370,6 +370,25 @@ def test_tent_sweep(capsys):
         """)
 
 
+def test_tent_sweep_single_level(capsys):
+    code, out, _ = run(capsys, "tent", "sweep", "--from", "1", "--to", "3/2",
+                       "--step", "1/4", "--n", "2")
+    assert code == 0
+    assert out == dedent("""\
+        a,level_certified,cycle_lengths,status
+        1,0,,degenerate
+        5/4,1,2,certified
+        3/2,0,,absent
+        """)
+
+
+def test_tent_sweep_needs_n_or_primes_on_an_empty_range(capsys):
+    code, out, err = run(capsys, "tent", "sweep", "--from", "2", "--to", "1", "--step", "1")
+    assert code == 1
+    assert out == ""
+    assert "--n or --primes" in err
+
+
 def test_tent_bad_slope(capsys):
     code, _, err = run(capsys, "tent", "orbit", "--a", "5/2", "--budget", "4")
     assert code == 1

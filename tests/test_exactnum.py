@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from addingmachine.errors import ExactnessError, InputError
 from addingmachine.exactnum import (
     Surd,
+    exact_sign,
     exact_sqrt,
     format_exact,
     parse_exact,
@@ -140,3 +141,47 @@ def test_sign_matches_float(a, b):
     approx = float(a) + float(b) * 2 ** 0.5
     if isinstance(x, Surd) and abs(approx) > 1e-9:
         assert (x.sign() > 0) == (approx > 0)
+
+
+def oracle_sign(a, b, r):
+    """Sign of a + b*sqrt(r) in integers only.
+
+    Multiplying by the positive a.denominator * b.denominator gives
+    p + q*sqrt(r) with integers p, q; its sign follows from p's sign,
+    q's sign and p^2 against q^2*r.
+    """
+    p = a.numerator * b.denominator
+    q = b.numerator * a.denominator
+    if q == 0:
+        return (p > 0) - (p < 0)
+    if q > 0:  # positive unless -p > q*sqrt(r)
+        return 1 if p >= 0 or p * p < q * q * r else -1
+    return -1 if p <= 0 or p * p < q * q * r else 1  # positive iff p > |q|*sqrt(r)
+
+
+wide_rationals = st.fractions(
+    min_value=Fraction(-100), max_value=Fraction(100), max_denominator=10 ** 4
+)
+
+
+# Pell solutions: 577/408 and 1351/780 lie within 1e-5 of sqrt(2) and
+# sqrt(3) (577^2 - 2*408^2 = 1351^2 - 3*780^2 = 1), and 3 - 2*sqrt(2) is
+# the inverse of the Pell unit 3 + 2*sqrt(2)
+@example(a=Fraction(0), b=Fraction(1), c=Fraction(577, 408), d=Fraction(1), r=2)
+@example(a=Fraction(577, 408), b=Fraction(1), c=Fraction(0), d=Fraction(2), r=2)
+@example(a=Fraction(3), b=Fraction(-2), c=Fraction(0), d=Fraction(1), r=2)
+@example(a=Fraction(0), b=Fraction(1), c=Fraction(1351, 780), d=Fraction(1), r=3)
+@example(a=Fraction(1351, 780), b=Fraction(-1), c=Fraction(0), d=Fraction(1), r=3)
+@given(a=wide_rationals, b=wide_rationals, c=wide_rationals, d=wide_rationals,
+       r=st.sampled_from([2, 3, 5, 6, 7, 10]))
+def test_sign_and_comparisons_match_integer_oracle(a, b, c, d, r):
+    x = surd(a, b, r)
+    if isinstance(x, Surd):
+        assert x.sign() == oracle_sign(a, b, r)
+    # x against the rational c, then against the surd c + d*sqrt(r)
+    for other, (oc, od) in ((c, (c, 0)), (surd(c, d, r), (c, d))):
+        s = oracle_sign(a - oc, b - od, r)
+        assert (x < other) == (s < 0)
+        assert (x > other) == (s > 0)
+        assert (x == other) == (s == 0)
+        assert exact_sign(x - other) == s

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from addingmachine.errors import InputError
 from addingmachine.exactnum import Surd, format_exact, parse_exact, surd
@@ -298,3 +298,38 @@ def test_tower_certificate_validation():
         tower_certificate(Fraction(11, 10), ())
     # composite level factors are allowed; the sizes just multiply up
     assert tower_certificate(Fraction(11, 10), (4,), window=128).sizes == (4,)
+
+
+# -- one orbit walk ----------------------------------------------------------------
+
+
+@settings(max_examples=80)
+@example(a=Fraction(11, 10), transient=1, window=12, n=4)  # classes start at k = 1
+@given(
+    a=st.fractions(min_value=1, max_value=2, max_denominator=64).filter(lambda a: a > 1),
+    transient=st.integers(min_value=0, max_value=4),
+    window=st.integers(min_value=1, max_value=12),
+    n=st.integers(min_value=1, max_value=4),
+)
+def test_every_orbit_consumer_reads_the_same_walk(a, transient, window, n):
+    half = Fraction(1, 2)
+    length = transient + window
+    points = [half]  # reference: a plain tent_eval loop
+    for _ in range(length):
+        points.append(tent_eval(a, points[-1]))
+    tail = points[transient:length]
+
+    orbit = critical_orbit(a, length)
+    if orbit.status == "transient-only":
+        assert list(orbit.points) == points
+    else:
+        assert list(orbit.points) == points[:len(orbit.points)]
+    assert kneading_sequence(a, length) == "".join(
+        "L" if x < half else ("C" if x == half else "R") for x in points[1:]
+    )
+    assert list(omega_limit_estimate(a, half, transient, window).samples) == tail
+    det = detect_interval_cycle(a, n, transient, window)
+    if det.status == "certified":
+        for j, hull in enumerate(det.intervals):
+            group = [x for k, x in enumerate(tail, transient) if k % n == j]
+            assert hull == (min(group), max(group))
