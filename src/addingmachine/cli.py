@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import conjugacy, finite_ifs, interval_dynamics, odometer
-from .errors import AddingMachineError, InputError, NoCanonicalCoverError
+from .errors import AddingMachineError, ExactnessError, InputError, NoCanonicalCoverError
 from .exactnum import format_exact, parse_exact
 from .ifs_io import load_ifs
 
@@ -365,10 +365,8 @@ def main(argv=None) -> int:
         if args.command == "tent":
             return _cmd_tent(args)
         raise InputError(f"unknown command {args.command!r}")
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (InputError, ExactnessError, FileNotFoundError) as exc:
+        # ExactnessError here means the arguments mixed radicands
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AddingMachineError as exc:

@@ -82,7 +82,8 @@ class Surd:
 
     def sign(self) -> int:
         """Exact sign of a + b*sqrt(r)."""
-        return _sign(self.a, self.b, self.r)
+        a, b = self.a, self.b
+        return _sign(a.numerator, a.denominator, b.numerator, b.denominator, self.r)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -162,11 +163,22 @@ class Surd:
     def _cmp(self, other) -> int:
         q = _coerce_rational(other)
         if q is not None:
-            return _sign(self.a - q, self.b, self.r)
-        if isinstance(other, Surd):
+            c, d = q, 0  # an int has a numerator and a denominator too
+        elif isinstance(other, Surd):
             self._check_compatible(other)
-            return _sign(self.a - other.a, self.b - other.b, self.r)
-        raise TypeError(f"cannot compare Surd with {type(other).__name__}")
+            c, d = other.a, other.b
+        else:
+            raise TypeError(f"cannot compare Surd with {type(other).__name__}")
+        # sign of self - other from cross-multiplied differences, which no
+        # Fraction normalises (see _sign)
+        a, b = self.a, self.b
+        return _sign(
+            a.numerator * c.denominator - c.numerator * a.denominator,
+            a.denominator * c.denominator,
+            b.numerator * d.denominator - d.numerator * b.denominator,
+            b.denominator * d.denominator,
+            self.r,
+        )
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
@@ -210,18 +222,23 @@ def surd(a, b, r: int) -> ExactNumber:
     return Surd(a, b * k, m)
 
 
-def _sign(a, b, r: int) -> int:
-    """Exact sign of a + b*sqrt(r) for rational a, b and squarefree r >= 2.
+def _sign(an: int, ad: int, bn: int, bd: int, r: int) -> int:
+    """Exact sign of an/ad + (bn/bd)*sqrt(r) for squarefree r >= 2.
 
     The module's one sign rule: Surd.sign, every Surd comparison and
-    exact_sign end here. If a and b do not have opposite signs, the
-    nonzero one decides (b = 0 gives the sign of a for any r). Otherwise
-    |a| is compared with |b|*sqrt(r) through a^2 against b^2*r, cleared
-    of denominators. The two are never equal: a^2 = b^2*r with b != 0
-    would make sqrt(r) rational, and a squarefree r >= 2 has no rational
-    square root.
+    exact_sign end here. The arguments are integers with ad, bd > 0 and
+    need not be in lowest terms: a comparison passes cross-multiplied
+    differences such as (a.num*c.den - c.num*a.den, a.den*c.den) as they
+    are, so it runs no gcd. Nothing below needs reduced fractions,
+    because the signs are those of the numerators and the test scales
+    both sides by the positive (ad*bd)^2.
+
+    If the two terms do not have opposite signs, the nonzero one decides
+    (bn = 0 gives the sign of an for any r). Otherwise |an/ad| is
+    compared with |bn/bd|*sqrt(r) through (an*bd)^2 against (bn*ad)^2*r.
+    The two are never equal: equality with bn != 0 would make sqrt(r)
+    rational, and a squarefree r >= 2 has no rational square root.
     """
-    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
     sa, sb = (an > 0) - (an < 0), (bn > 0) - (bn < 0)
     if sa * sb >= 0:
         return sa or sb
@@ -231,7 +248,7 @@ def _sign(a, b, r: int) -> int:
 def exact_sign(x: ExactNumber) -> int:
     if isinstance(x, Surd):
         return x.sign()
-    return _sign(x, 0, 0)
+    return _sign(x.numerator, x.denominator, 0, 1, 0)
 
 
 def exact_sqrt(x) -> ExactNumber:

@@ -11,6 +11,16 @@ against [0, 1] before yielding it. After the starting point that check
 always passes, because T_a maps [0, 1] into [0, a/2] and a <= 2; it
 stays so that an outside starting point is rejected.
 
+Each TentParam keeps the prefix of the critical orbit (the orbit of 1/2)
+walked so far, and _orbit(param, HALF) reads and extends that list, so
+the levels of one tower_certificate, or any other consumers handed the
+same TentParam, share one walk. The memo lives exactly as long as its
+TentParam: public functions given a raw slope build a fresh TentParam,
+so every call with an equal slope value walks the orbit again. Nothing
+is cached across calls (no module-level table, no lru_cache), because a
+process-wide cache would grow with every slope ever seen and would only
+pay off for repeated identical calls, which a CLI run never makes.
+
 The renormalization detector looks for n closed intervals, one per
 residue class of the iteration index, that are pairwise disjoint and
 cyclically permuted by the map. Such a family is the interval
@@ -21,7 +31,7 @@ certificate (necessary evidence, not a proof of the full structure).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 
@@ -43,9 +53,16 @@ def _coerce(value) -> ExactNumber:
 
 @dataclass(frozen=True)
 class TentParam:
-    """A validated tent-map slope in [0, 2]."""
+    """A validated tent-map slope in [0, 2].
+
+    _critical is the walked prefix of the critical orbit, 1/2, T(1/2), ...;
+    it takes no part in equality, hashing or repr.
+    """
 
     a: ExactNumber
+    _critical: list = field(
+        default_factory=lambda: [HALF], init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         value = _coerce(self.a)
@@ -74,11 +91,21 @@ def tent_eval(a, x) -> ExactNumber:
 
 
 def _orbit(param: TentParam, x):
-    """Yield x, T(x), T(T(x)), ...; each point is checked before it is yielded."""
+    """Yield x, T(x), T(T(x)), ...; each point is checked before it is yielded.
+
+    From HALF the walk reads param's critical-orbit memo and extends it
+    one point ahead of what it yields (computing T(x) checks x). Walks
+    over one memo may interleave, even from two threads: a walk writes
+    index k + 1 only from index k, and the slice assignment stores the
+    same value whichever walk gets there first, never a second copy.
+    """
+    points = param._critical if x == HALF else [x]
+    k = 0
     while True:
-        nxt = tent_eval(param, x)
-        yield x
-        x = nxt
+        if len(points) == k + 1:
+            points[k + 1:k + 2] = [tent_eval(param, points[k])]
+        yield points[k]
+        k += 1
 
 
 @dataclass(frozen=True)
@@ -233,14 +260,15 @@ def detect_interval_cycle(a, n: int, transient: int = 0, window: int = 64, margi
         return CycleDetection(
             n=n, status="inconclusive", transient=transient, window=window, margin=margin
         )
-    distinct = {v for g in groups for v in g}
-    if len(distinct) == 1:
+    bounds = [(min(g), max(g)) for g in groups]
+    v = bounds[0][0]
+    if all(lo == v and hi == v for lo, hi in bounds):
         return CycleDetection(
             n=n, status="degenerate", transient=transient, window=window, margin=margin
         )
     hulls = []
-    for g in groups:
-        lo, hi = min(g) - margin, max(g) + margin
+    for lo, hi in bounds:
+        lo, hi = lo - margin, hi + margin
         if lo < 0:
             lo = Fraction(0)
         if hi > 1:

@@ -352,6 +352,48 @@ def test_tent_tower(capsys):
     assert "note: " in out
 
 
+SURD_TOWER_NOTE = (
+    "note: certified levels witness disjoint interval families cyclically "
+    "permuted by the map; they are necessary evidence for adding-machine "
+    "structure on the critical orbit closure, not a proof of it\n"
+)
+
+
+def test_tent_tower_surd_slope(capsys):
+    code, out, _ = run(capsys, "tent", "cycle", "--a", "(12-2*sqrt(5))/7",
+                       "--primes", "2,2,2", "--window", "256")
+    assert code == 0
+    assert out == dedent("""\
+        # tent tower
+        # a = (12-2*sqrt(5))/7
+        # transient = 0, window = 256, margin = 0
+        # primes = 2,2,2
+        level size 2: certified
+        level size 4: certified
+        level size 8: certified
+        deepest certified: 3
+        """) + SURD_TOWER_NOTE
+
+
+def test_tent_tower_surd_slope_after_a_transient(capsys):
+    # today's behaviour, not a sound verdict: a^2 < 2 here, so T_a is
+    # renormalizable, but hulls sampled after the transient lose c_1 and
+    # c_2, an image escapes, and every level reads "absent" (ROADMAP item 4)
+    code, out, _ = run(capsys, "tent", "cycle", "--a", "(12-2*sqrt(5))/7",
+                       "--primes", "2,2,2", "--window", "256", "--transient", "64")
+    assert code == 0
+    assert out == dedent("""\
+        # tent tower
+        # a = (12-2*sqrt(5))/7
+        # transient = 64, window = 256, margin = 0
+        # primes = 2,2,2
+        level size 2: absent
+        level size 4: absent
+        level size 8: absent
+        deepest certified: 0
+        """) + SURD_TOWER_NOTE
+
+
 def test_tent_cycle_needs_n_or_primes(capsys):
     code, _, err = run(capsys, "tent", "cycle", "--a", "13/10")
     assert code == 1
@@ -393,6 +435,19 @@ def test_tent_bad_slope(capsys):
     code, _, err = run(capsys, "tent", "orbit", "--a", "5/2", "--budget", "4")
     assert code == 1
     assert "slope" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("tent", "sweep", "--from", "sqrt(2)", "--to", "2", "--step", "sqrt(3)/100",
+     "--n", "2"),
+    ("tent", "cycle", "--a", "(1+1*sqrt(3))/2", "--margin", "(0+1*sqrt(2))/100",
+     "--n", "2"),
+])
+def test_tent_mixed_radicands_are_an_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot combine sqrt(")
 
 
 # -- exit code remapping ----------------------------------------------------------

@@ -164,6 +164,24 @@ wide_rationals = st.fractions(
 )
 
 
+def critical_coefficients(k):
+    """(p, q) with T^k(1/2) = p + q*sqrt(5) for the tent map of slope
+    (12 - 2*sqrt(5))/7, iterated on coefficient pairs with oracle_sign
+    picking the branch. Iterates 40, 41, 64 and 65 have numerators of
+    154 to 259 bits, and their denominators differ from one iterate to
+    the next."""
+    a, b = Fraction(12, 7), Fraction(-2, 7)
+    p, q = Fraction(1, 2), Fraction(0)
+    for _ in range(k):
+        if oracle_sign(p - Fraction(1, 2), q, 5) >= 0:  # reflect: x -> 1 - x
+            p, q = 1 - p, -q
+        p, q = a * p + 5 * b * q, a * q + b * p
+    return p, q
+
+
+T40, T41, T64, T65 = (critical_coefficients(k) for k in (40, 41, 64, 65))
+
+
 # Pell solutions: 577/408 and 1351/780 lie within 1e-5 of sqrt(2) and
 # sqrt(3) (577^2 - 2*408^2 = 1351^2 - 3*780^2 = 1), and 3 - 2*sqrt(2) is
 # the inverse of the Pell unit 3 + 2*sqrt(2)
@@ -172,6 +190,11 @@ wide_rationals = st.fractions(
 @example(a=Fraction(3), b=Fraction(-2), c=Fraction(0), d=Fraction(1), r=2)
 @example(a=Fraction(0), b=Fraction(1), c=Fraction(1351, 780), d=Fraction(1), r=3)
 @example(a=Fraction(1351, 780), b=Fraction(-1), c=Fraction(0), d=Fraction(1), r=3)
+# neighbouring points of one exact orbit, as detect_interval_cycle compares them
+@example(a=T40[0], b=T40[1], c=T41[0], d=T41[1], r=5)
+@example(a=T41[0], b=T41[1], c=T40[0], d=T40[1], r=5)
+@example(a=T64[0], b=T64[1], c=T65[0], d=T65[1], r=5)
+@example(a=T65[0], b=T65[1], c=T64[0], d=T64[1], r=5)
 @given(a=wide_rationals, b=wide_rationals, c=wide_rationals, d=wide_rationals,
        r=st.sampled_from([2, 3, 5, 6, 7, 10]))
 def test_sign_and_comparisons_match_integer_oracle(a, b, c, d, r):

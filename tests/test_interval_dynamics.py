@@ -1,12 +1,16 @@
 from fractions import Fraction
+from itertools import islice
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from addingmachine import interval_dynamics
 from addingmachine.errors import InputError
 from addingmachine.exactnum import Surd, format_exact, parse_exact, surd
 from addingmachine.interval_dynamics import (
     DISCLAIMER,
+    HALF,
     TentParam,
     critical_orbit,
     detect_interval_cycle,
@@ -333,3 +337,151 @@ def test_every_orbit_consumer_reads_the_same_walk(a, transient, window, n):
         for j, hull in enumerate(det.intervals):
             group = [x for k, x in enumerate(tail, transient) if k % n == j]
             assert hull == (min(group), max(group))
+
+
+# -- one walk per slope -------------------------------------------------------------
+
+
+@st.composite
+def slopes(draw):
+    """Rational and quadratic-surd slopes in (1, 2]."""
+    if draw(st.booleans()):
+        return draw(st.fractions(min_value=1, max_value=2, max_denominator=64)
+                    .filter(lambda a: a > 1))
+    r = draw(st.sampled_from([2, 3, 5]))
+    frac = surd(-isqrt(r), 1, r)  # sqrt(r) - floor(sqrt(r)), in (0, 1)
+    u = draw(st.fractions(min_value=0, max_value=1, max_denominator=32).filter(bool))
+    return 1 + u * frac if draw(st.booleans()) else 2 - u * frac
+
+
+def plain_orbit(a, length):
+    """1/2, T(1/2), ..., T^length(1/2) from a plain tent_eval loop."""
+    points = [HALF]
+    for _ in range(length):
+        points.append(tent_eval(a, points[-1]))
+    return points
+
+
+def count_tent_evals(call):
+    """Run call() and return how many times it evaluated the tent map."""
+    calls = []
+    original = interval_dynamics.tent_eval
+
+    def counting(a, x):
+        calls.append(x)
+        return original(a, x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(interval_dynamics, "tent_eval", counting)
+        call()
+    return len(calls)
+
+
+tower_args = dict(
+    a=slopes(),
+    transient=st.integers(min_value=0, max_value=8),
+    window=st.integers(min_value=1, max_value=40),
+    primes=st.lists(st.sampled_from([2, 3]), min_size=1, max_size=3),
+    margin=st.sampled_from([Fraction(0), Fraction(1, 1000)]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**tower_args)
+def test_tower_levels_match_fresh_detections(a, transient, window, primes, margin):
+    cert = tower_certificate(a, primes, transient, window, margin)
+    assert cert.levels == tuple(
+        detect_interval_cycle(a, size, transient, window, margin) for size in cert.sizes
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(**tower_args)
+def test_tower_certificate_walks_the_orbit_once(a, transient, window, primes, margin):
+    # one walk for any number of levels, one point ahead of the last sample
+    for depth in range(1, len(primes) + 1):
+        assert count_tent_evals(
+            lambda: tower_certificate(a, primes[:depth], transient, window, margin)
+        ) == transient + window
+    # the memo lives with its TentParam: an equal slope value walks again,
+    # the same TentParam does not
+    param = TentParam(a)
+    for slope, evals in ((a, transient + window), (param, transient + window), (param, 0),
+                         (TentParam(a), transient + window)):
+        assert count_tent_evals(
+            lambda: tower_certificate(slope, primes, transient, window, margin)
+        ) == evals
+
+
+CONSUMERS = ("critical_orbit", "kneading_sequence", "detect_interval_cycle", "zip")
+
+
+@settings(max_examples=60, deadline=None)
+@example(a=SQRT2, transient=3, window=8, n=2, order=CONSUMERS)  # reaches 2 - sqrt(2)
+@example(a=Fraction(2), transient=2, window=6, n=1, order=CONSUMERS[::-1])  # reaches 0
+@given(
+    a=slopes(),
+    transient=st.integers(min_value=0, max_value=8),
+    window=st.integers(min_value=1, max_value=40),
+    n=st.integers(min_value=1, max_value=4),
+    order=st.permutations(CONSUMERS),
+)
+def test_consumers_of_one_param_read_one_orbit_in_any_order(a, transient, window, n, order):
+    length = transient + window
+    points = plain_orbit(a, length)
+    param = TentParam(a)
+
+    def check_critical_orbit():
+        orbit = critical_orbit(param, length)
+        assert list(orbit.points) == points[:len(orbit.points)]
+        if orbit.status == "transient-only":
+            assert len(orbit.points) == length + 1
+
+    def check_kneading_sequence():
+        assert kneading_sequence(param, length) == "".join(
+            "L" if x < HALF else ("C" if x == HALF else "R") for x in points[1:]
+        )
+
+    def check_detect_interval_cycle():
+        det = detect_interval_cycle(param, n, transient, window)
+        assert det == detect_interval_cycle(a, n, transient, window)
+        if det.status == "certified":
+            tail = points[transient:length]
+            for j, hull in enumerate(det.intervals):
+                group = [x for k, x in enumerate(tail, transient) if k % n == j]
+                assert hull == (min(group), max(group))
+
+    def check_zip():
+        lead, lag = interval_dynamics._orbit(param, HALF), interval_dynamics._orbit(param, HALF)
+        next(lead)
+        assert list(islice(zip(lag, lead), length)) == list(zip(points, points[1:]))
+
+    checks = {
+        "critical_orbit": check_critical_orbit,
+        "kneading_sequence": check_kneading_sequence,
+        "detect_interval_cycle": check_detect_interval_cycle,
+        "zip": check_zip,
+    }
+    for name in order:
+        checks[name]()
+
+
+@settings(max_examples=80, deadline=None)
+@example(a=SQRT2, transient=3, window=8, n=2, margin=Fraction(0))
+@example(a=SQRT2, transient=4, window=1, n=1, margin=Fraction(1, 1000))
+@example(a=SQRT2, transient=2, window=8, n=2, margin=Fraction(0))  # 2 - sqrt(2) and sqrt(2) - 1
+@example(a=Fraction(1), transient=0, window=5, n=3, margin=Fraction(1, 1000))
+@given(
+    a=st.one_of(slopes(), st.sampled_from([Fraction(0), Fraction(1), Fraction(2), SQRT2])),
+    transient=st.integers(min_value=0, max_value=8),
+    window=st.integers(min_value=1, max_value=40),
+    n=st.integers(min_value=1, max_value=4),
+    margin=st.sampled_from([Fraction(0), Fraction(1, 1000)]),
+)
+def test_degenerate_exactly_when_one_distinct_sample(a, transient, window, n, margin):
+    samples = plain_orbit(a, transient + window)[transient:transient + window]
+    det = detect_interval_cycle(a, n, transient, window, margin)
+    if window < n:
+        assert det.status == "inconclusive"
+    else:
+        assert (det.status == "degenerate") == (len(set(samples)) == 1)
