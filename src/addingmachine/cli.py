@@ -365,8 +365,9 @@ def main(argv=None) -> int:
         if args.command == "tent":
             return _cmd_tent(args)
         raise InputError(f"unknown command {args.command!r}")
-    except (InputError, ExactnessError, FileNotFoundError) as exc:
-        # ExactnessError here means the arguments mixed radicands
+    except (InputError, ExactnessError, OSError) as exc:
+        # ExactnessError here means the arguments mixed radicands; OSError
+        # means an input file or --output path could not be opened
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AddingMachineError as exc:

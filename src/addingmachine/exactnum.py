@@ -1,15 +1,19 @@
 """Exact arithmetic in a real quadratic field Q(sqrt(r)).
 
-Numbers are either plain Fractions or Surd objects a + b*sqrt(r) with
-rational a, b, b != 0, and r a squarefree integer >= 2. All arithmetic
-and every comparison is exact; nothing here ever rounds. Comparisons and
-signs all go through one integer rule (_sign): compare a^2 with b^2*r
-when a and b have opposite signs. Combining two surds with different
-radicands raises ExactnessError instead of silently falling back to
-floats.
+Numbers are either plain Fractions or Surd objects (p + q*sqrt(r))/s
+with integers p, q, s and r, kept reduced: s > 0, q != 0,
+gcd(p, q, s) = 1, and r squarefree and >= 2. That form is canonical, so
+equality and hashing compare fields. Every arithmetic operation builds
+its triple with integer formulas and reduces it with one gcd; when the
+irrational part cancels the result is a Fraction. Comparisons run no
+gcd: both sides go over a common positive denominator and one integer
+rule (_sign) decides, comparing P^2 with Q^2*r when P and Q have
+opposite signs. Nothing here ever rounds. Combining two surds with
+different radicands raises ExactnessError instead of silently falling
+back to floats.
 
-The canonical text form is (p+q*sqrt(r))/s with integers p, q, r, s,
-s > 0. parse_exact also accepts plain integers, fractions p/q, decimal
+The canonical text form is (p+q*sqrt(r))/s, the reduced triple itself.
+parse_exact also accepts plain integers, fractions p/q, decimal
 literals, and lightweight variants like sqrt(2), 3*sqrt(2)/4, 2-sqrt(2).
 """
 
@@ -42,25 +46,45 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return k, m
 
 
-def _coerce_rational(x) -> Fraction | None:
-    if isinstance(x, bool):
-        return None
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, Fraction):
-        return x
+def _rational(x) -> tuple[int, int] | None:
+    """(numerator, denominator) of an int or Fraction; None for anything
+    else, bool included."""
+    if isinstance(x, Fraction) or (isinstance(x, int) and not isinstance(x, bool)):
+        return x.numerator, x.denominator
     return None
 
 
-class Surd:
-    """An irrational element a + b*sqrt(r) of Q(sqrt(r)).
+def _reduced(p: int, q: int, s: int, r: int) -> ExactNumber:
+    """(p + q*sqrt(r))/s for integers with s != 0, reduced with one gcd
+    (its sign makes s > 0); a Fraction when q = 0. Every Surd that
+    arithmetic returns is built here, bypassing __init__'s checks, which
+    the operands already passed."""
+    if not q:
+        return Fraction(p, s)
+    g = gcd(p, q, s)
+    if s < 0:
+        g = -g
+    if g != 1:
+        p, q, s = p // g, q // g, s // g
+    x = object.__new__(Surd)
+    x._p, x._q, x._s, x.r = p, q, s, r
+    return x
 
-    Invariants: a, b are Fractions, b != 0, r is squarefree and >= 2.
-    Use the surd() factory (or plain arithmetic) to build values; it
-    collapses to a Fraction whenever the irrational part cancels.
+
+class Surd:
+    """An irrational element (p + q*sqrt(r))/s of Q(sqrt(r)).
+
+    Invariants: p, q, s are integers with s > 0, q != 0 and
+    gcd(p, q, s) = 1, and r is squarefree and >= 2; the triple is
+    therefore unique, and == and hash compare it. Arithmetic reduces
+    each result with a single gcd and collapses to a Fraction whenever
+    the irrational part cancels; comparisons run no gcd. Build values
+    with the surd() factory or plain arithmetic; Surd(a, b, r) takes the
+    rational coefficients of a + b*sqrt(r), and .a and .b give them back
+    as Fractions.
     """
 
-    __slots__ = ("a", "b", "r")
+    __slots__ = ("_p", "_q", "_s", "r")
 
     def __init__(self, a: Fraction, b: Fraction, r: int):
         if b == 0:
@@ -68,9 +92,23 @@ class Surd:
         _, m = squarefree_decompose(r)
         if m != r or r < 2:
             raise InputError(f"radicand must be squarefree and >= 2, got {r}")
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        a, b = Fraction(a), Fraction(b)
+        # s = lcm of the two denominators, which leaves gcd(p, q, s) = 1
+        s = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
+        self._p = a.numerator * (s // a.denominator)
+        self._q = b.numerator * (s // b.denominator)
+        self._s = s
         self.r = r
+
+    @property
+    def a(self) -> Fraction:
+        """The rational part p/s."""
+        return Fraction(self._p, self._s)
+
+    @property
+    def b(self) -> Fraction:
+        """The coefficient q/s of sqrt(r)."""
+        return Fraction(self._q, self._s)
 
     # -- helpers -------------------------------------------------------
 
@@ -81,79 +119,88 @@ class Surd:
             )
 
     def sign(self) -> int:
-        """Exact sign of a + b*sqrt(r)."""
-        a, b = self.a, self.b
-        return _sign(a.numerator, a.denominator, b.numerator, b.denominator, self.r)
+        """Exact sign of (p + q*sqrt(r))/s, which is that of p + q*sqrt(r)."""
+        return _sign(self._p, self._q, self.r)
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        q = _coerce_rational(other)
-        if q is not None:
-            return Surd(self.a + q, self.b, self.r)
+        p, q, s, r = self._p, self._q, self._s, self.r
+        nd = _rational(other)
+        if nd is not None:
+            n, d = nd
+            return _reduced(p * d + n * s, q * d, s * d, r)
         if isinstance(other, Surd):
             self._check_compatible(other)
-            return surd(self.a + other.a, self.b + other.b, self.r)
+            p2, q2, s2 = other._p, other._q, other._s
+            return _reduced(p * s2 + p2 * s, q * s2 + q2 * s, s * s2, r)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Surd(-self.a, -self.b, self.r)
+        return _reduced(-self._p, -self._q, self._s, self.r)
 
     def __sub__(self, other):
-        q = _coerce_rational(other)
-        if q is not None:
-            return Surd(self.a - q, self.b, self.r)
+        p, q, s, r = self._p, self._q, self._s, self.r
+        nd = _rational(other)
+        if nd is not None:
+            n, d = nd
+            return _reduced(p * d - n * s, q * d, s * d, r)
         if isinstance(other, Surd):
             self._check_compatible(other)
-            return surd(self.a - other.a, self.b - other.b, self.r)
+            p2, q2, s2 = other._p, other._q, other._s
+            return _reduced(p * s2 - p2 * s, q * s2 - q2 * s, s * s2, r)
         return NotImplemented
 
     def __rsub__(self, other):
-        q = _coerce_rational(other)
-        if q is not None:
-            return Surd(q - self.a, -self.b, self.r)
+        nd = _rational(other)
+        if nd is not None:
+            n, d = nd
+            s = self._s
+            return _reduced(n * s - self._p * d, -self._q * d, s * d, self.r)
         return NotImplemented
 
     def __mul__(self, other):
-        q = _coerce_rational(other)
-        if q is not None:
-            if q == 0:
-                return Fraction(0)
-            return Surd(self.a * q, self.b * q, self.r)
+        p, q, s, r = self._p, self._q, self._s, self.r
+        nd = _rational(other)
+        if nd is not None:
+            n, d = nd
+            return _reduced(p * n, q * n, s * d, r)
         if isinstance(other, Surd):
             self._check_compatible(other)
-            return surd(
-                self.a * other.a + self.b * other.b * self.r,
-                self.a * other.b + self.b * other.a,
-                self.r,
-            )
+            p2, q2, s2 = other._p, other._q, other._s
+            return _reduced(p * p2 + q * q2 * r, p * q2 + q * p2, s * s2, r)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        q = _coerce_rational(other)
-        if q is not None:
-            if q == 0:
+        p, q, s, r = self._p, self._q, self._s, self.r
+        nd = _rational(other)
+        if nd is not None:
+            n, d = nd
+            if n == 0:
                 raise ZeroDivisionError("division by zero")
-            return Surd(self.a / q, self.b / q, self.r)
+            return _reduced(p * d, q * d, s * n, r)
         if isinstance(other, Surd):
-            return self * other._inverse()
+            self._check_compatible(other)
+            # multiply through by the conjugate p2 - q2*sqrt(r); the norm
+            # p2^2 - q2^2*r is nonzero because sqrt(r) is irrational
+            p2, q2, s2 = other._p, other._q, other._s
+            return _reduced(
+                s2 * (p * p2 - q * q2 * r), s2 * (q * p2 - p * q2),
+                s * (p2 * p2 - q2 * q2 * r), r,
+            )
         return NotImplemented
 
     def __rtruediv__(self, other):
-        q = _coerce_rational(other)
-        if q is not None:
-            return q * self._inverse()
+        nd = _rational(other)
+        if nd is not None:
+            n, d = nd
+            p, q, s, r = self._p, self._q, self._s, self.r
+            return _reduced(n * s * p, -n * s * q, d * (p * p - q * q * r), r)
         return NotImplemented
-
-    def _inverse(self) -> "Surd":
-        # (a + b sqrt r)^-1 = (a - b sqrt r) / (a^2 - b^2 r); the norm is
-        # nonzero because sqrt(r) is irrational and b != 0.
-        norm = self.a * self.a - self.b * self.b * self.r
-        return Surd(self.a / norm, -self.b / norm, self.r)
 
     def __abs__(self):
         return self if self.sign() >= 0 else -self
@@ -161,34 +208,29 @@ class Surd:
     # -- comparisons ---------------------------------------------------
 
     def _cmp(self, other) -> int:
-        q = _coerce_rational(other)
-        if q is not None:
-            c, d = q, 0  # an int has a numerator and a denominator too
-        elif isinstance(other, Surd):
+        """Sign of self - other over the common positive denominator
+        s*d or s*s2, so no gcd runs."""
+        p, q, s = self._p, self._q, self._s
+        nd = _rational(other)
+        if nd is not None:
+            n, d = nd
+            return _sign(p * d - n * s, q * d, self.r)
+        if isinstance(other, Surd):
             self._check_compatible(other)
-            c, d = other.a, other.b
-        else:
-            raise TypeError(f"cannot compare Surd with {type(other).__name__}")
-        # sign of self - other from cross-multiplied differences, which no
-        # Fraction normalises (see _sign)
-        a, b = self.a, self.b
-        return _sign(
-            a.numerator * c.denominator - c.numerator * a.denominator,
-            a.denominator * c.denominator,
-            b.numerator * d.denominator - d.numerator * b.denominator,
-            b.denominator * d.denominator,
-            self.r,
-        )
+            p2, q2, s2 = other._p, other._q, other._s
+            return _sign(p * s2 - p2 * s, q * s2 - q2 * s, self.r)
+        raise TypeError(f"cannot compare Surd with {type(other).__name__}")
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return False  # a Surd is irrational by construction
         if isinstance(other, Surd):
-            return self.r == other.r and self.a == other.a and self.b == other.b
+            return (self._p == other._p and self._q == other._q
+                    and self._s == other._s and self.r == other.r)
         return NotImplemented
 
     def __hash__(self):
-        return hash(("Surd", self.a, self.b, self.r))
+        return hash((self._p, self._q, self._s, self.r))
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -222,33 +264,33 @@ def surd(a, b, r: int) -> ExactNumber:
     return Surd(a, b * k, m)
 
 
-def _sign(an: int, ad: int, bn: int, bd: int, r: int) -> int:
-    """Exact sign of an/ad + (bn/bd)*sqrt(r) for squarefree r >= 2.
+def _sign(p: int, q: int, r: int) -> int:
+    """Exact sign of p + q*sqrt(r) for integers p, q and squarefree r >= 2.
 
-    The module's one sign rule: Surd.sign, every Surd comparison and
-    exact_sign end here. The arguments are integers with ad, bd > 0 and
-    need not be in lowest terms: a comparison passes cross-multiplied
-    differences such as (a.num*c.den - c.num*a.den, a.den*c.den) as they
-    are, so it runs no gcd. Nothing below needs reduced fractions,
-    because the signs are those of the numerators and the test scales
-    both sides by the positive (ad*bd)^2.
+    The module's one sign rule: Surd.sign and every Surd comparison end
+    here. The three arguments are plain integers that need not be
+    reduced: Surd.sign passes its own p, q and r (its sign is that of
+    p + q*sqrt(r) because s > 0), and a comparison passes the two
+    numerators of the difference over the common positive denominator.
 
-    If the two terms do not have opposite signs, the nonzero one decides
-    (bn = 0 gives the sign of an for any r). Otherwise |an/ad| is
-    compared with |bn/bd|*sqrt(r) through (an*bd)^2 against (bn*ad)^2*r.
-    The two are never equal: equality with bn != 0 would make sqrt(r)
-    rational, and a squarefree r >= 2 has no rational square root.
+    If p and q do not have opposite signs, the nonzero one decides
+    (q = 0 gives the sign of p). Otherwise |p| is compared with
+    |q|*sqrt(r) through p^2 against q^2*r. The two are never equal:
+    equality with q != 0 would make sqrt(r) rational, and a squarefree
+    r >= 2 has no rational square root.
     """
-    sa, sb = (an > 0) - (an < 0), (bn > 0) - (bn < 0)
-    if sa * sb >= 0:
-        return sa or sb
-    return sa if (an * bd) ** 2 > (bn * ad) ** 2 * r else sb
+    sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
+    if sp * sq >= 0:
+        return sp or sq
+    return sp if p * p > q * q * r else sq
 
 
 def exact_sign(x: ExactNumber) -> int:
+    """Exact sign of a Surd, or of a Fraction or int (its numerator's)."""
     if isinstance(x, Surd):
         return x.sign()
-    return _sign(x.numerator, x.denominator, 0, 1, 0)
+    n = x.numerator
+    return (n > 0) - (n < 0)
 
 
 def exact_sqrt(x) -> ExactNumber:
@@ -300,7 +342,10 @@ def parse_exact(text: str) -> ExactNumber:
     if m:
         coef = _parse_rational(m.group("coef")) if m.group("coef") else Fraction(1)
         if m.group("den"):
-            coef /= int(m.group("den"))
+            den = int(m.group("den"))
+            if den == 0:
+                raise InputError(f"zero denominator in {text!r}")
+            coef /= den
         return surd(0, coef, int(m.group("r")))
     m = _SUM_FORM.match(s)
     if m and "sqrt" in m.group("rest"):
@@ -315,12 +360,15 @@ def parse_exact(text: str) -> ExactNumber:
 
 
 def format_exact(x: ExactNumber) -> str:
-    """Canonical text: p/q for rationals, (p+q*sqrt(r))/s for surds."""
+    """Canonical text: p/q for rationals, (p+q*sqrt(r))/s for surds.
+
+    A Surd prints its reduced triple. That s is the lcm of the reduced
+    denominators of a = p/s and b = q/s: those are s/gcd(p, s) and
+    s/gcd(q, s), whose lcm is s/gcd(p, q, s) = s.
+    """
     if isinstance(x, Surd):
-        s = x.a.denominator * x.b.denominator // gcd(x.a.denominator, x.b.denominator)
-        p = x.a.numerator * (s // x.a.denominator)
-        q = x.b.numerator * (s // x.b.denominator)
+        q = x._q
         sign = "+" if q >= 0 else "-"
-        return f"({p}{sign}{abs(q)}*sqrt({x.r}))/{s}"
+        return f"({x._p}{sign}{abs(q)}*sqrt({x.r}))/{x._s}"
     f = Fraction(x)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import IFSParseError
+from .errors import IFSParseError, InputError
 from .finite_ifs import FiniteIFS
 
 
@@ -110,5 +110,11 @@ def format_ifs(F: FiniteIFS) -> str:
 
 
 def load_ifs(path: str) -> FiniteIFS:
+    """Read and parse a description file; text that is not UTF-8 is an
+    InputError, and a file that cannot be opened raises OSError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_ifs(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_ifs(text)

@@ -275,6 +275,19 @@ def test_ifs_missing_file(capsys, tmp_path):
     assert "error" in err
 
 
+def test_ifs_unreadable_inputs_are_input_errors(capsys, z6two, tmp_path):
+    latin1 = tmp_path / "latin1.ifs"
+    latin1.write_bytes(b"# caf\xe9\n" + Z6_TWO_TEXT.encode())
+    for argv in (["ifs", "analyze", str(tmp_path)],
+                 ["ifs", "verify", str(latin1)],
+                 ["ifs", "analyze", z6two, "--output", str(tmp_path)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+    assert "not UTF-8" in run(capsys, "ifs", "analyze", str(latin1))[2]
+
+
 def test_ifs_analyze_output_file_and_determinism(capsys, z6two, tmp_path):
     out1, out2 = tmp_path / "r1.txt", tmp_path / "r2.txt"
     assert main(["ifs", "analyze", z6two, "--output", str(out1)]) == 0
@@ -333,6 +346,21 @@ def test_tent_cycle_certified(capsys):
     assert "status: certified" in out
     assert "I[0] = [91/200, 10621/20000]" in out
     assert "I[1] = [1183/2000, 13/20]" in out
+
+
+def test_tent_cycle_surd_hull_endpoints(capsys):
+    code, out, _ = run(capsys, "tent", "cycle", "--a", "(12-2*sqrt(5))/7",
+                       "--n", "2", "--window", "128")
+    assert code == 0
+    assert out == dedent("""\
+        # tent cycle
+        # a = (12-2*sqrt(5))/7
+        # transient = 0, window = 128, margin = 0
+        # n = 2
+        status: certified
+        I[0] = [(2+10*sqrt(5))/49, (6188-2230*sqrt(5))/2401]
+        I[1] = [(-76+116*sqrt(5))/343, (6-1*sqrt(5))/7]
+        """)
 
 
 def test_tent_cycle_absent(capsys):
@@ -412,6 +440,19 @@ def test_tent_sweep(capsys):
         """)
 
 
+def test_tent_sweep_surd_slopes(capsys):
+    code, out, _ = run(capsys, "tent", "sweep", "--from", "(12-2*sqrt(5))/7",
+                       "--to", "(13-2*sqrt(5))/7", "--step", "sqrt(5)/40",
+                       "--primes", "2,2", "--window", "64")
+    assert code == 0
+    assert out == dedent("""\
+        a,level_certified,cycle_lengths,status
+        (12-2*sqrt(5))/7,2,2;4,certified
+        (480-73*sqrt(5))/280,2,2;4,certified
+        (240-33*sqrt(5))/140,2,2;4,certified
+        """)
+
+
 def test_tent_sweep_single_level(capsys):
     code, out, _ = run(capsys, "tent", "sweep", "--from", "1", "--to", "3/2",
                        "--step", "1/4", "--n", "2")
@@ -435,6 +476,13 @@ def test_tent_bad_slope(capsys):
     code, _, err = run(capsys, "tent", "orbit", "--a", "5/2", "--budget", "4")
     assert code == 1
     assert "slope" in err
+
+
+def test_tent_zero_denominator_after_sqrt(capsys):
+    code, out, err = run(capsys, "tent", "orbit", "--a", "sqrt(2)/0")
+    assert code == 1
+    assert out == ""
+    assert err == "error: zero denominator in 'sqrt(2)/0'\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,5 @@
+import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -112,6 +114,12 @@ def test_parse_rejects_garbage():
             parse_exact(text)
 
 
+@pytest.mark.parametrize("text", ["sqrt(2)/0", "3*sqrt(2)/0", "1+sqrt(2)/0"])
+def test_parse_zero_denominator_after_sqrt(text):
+    with pytest.raises(InputError, match="zero denominator"):
+        parse_exact(text)
+
+
 def test_hash_consistency():
     assert hash(1 + R2) == hash(surd(1, 1, 2))
     values = {1 + R2, surd(1, 1, 2), R2, Fraction(1)}
@@ -208,3 +216,110 @@ def test_sign_and_comparisons_match_integer_oracle(a, b, c, d, r):
         assert (x > other) == (s > 0)
         assert (x == other) == (s == 0)
         assert exact_sign(x - other) == s
+
+
+# -- differential test against an oracle on rational coefficient pairs ---------
+#
+# The oracle keeps x = a + b*sqrt(r) as the Fraction pair (a, b) and applies
+# the textbook formulas; division multiplies through by the conjugate.
+
+PAIR_OPS = {
+    operator.add: lambda a, b, c, d, r: (a + c, b + d),
+    operator.sub: lambda a, b, c, d, r: (a - c, b - d),
+    operator.mul: lambda a, b, c, d, r: (a * c + b * d * r, a * d + b * c),
+    operator.truediv: lambda a, b, c, d, r: (
+        (a * c - b * d * r) / (c * c - d * d * r),
+        (b * c - a * d) / (c * c - d * d * r),
+    ),
+}
+COMPARISONS = (operator.lt, operator.le, operator.gt, operator.ge)
+
+
+def old_format(a, b, r):
+    """format_exact as it was computed from the pair (a, b)."""
+    s = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
+    p, q = a.numerator * (s // a.denominator), b.numerator * (s // b.denominator)
+    return f"({p}{'+' if q >= 0 else '-'}{abs(q)}*sqrt({r}))/{s}"
+
+
+def assert_is(x, a, b, r):
+    """x is the oracle's a + b*sqrt(r): a Fraction when b = 0, else a Surd
+    whose public surface matches the old formulas."""
+    if b == 0:
+        assert type(x) is Fraction and x == a
+        return
+    assert isinstance(x, Surd)
+    assert (x.a, x.b, x.r) == (a, b, r)
+    assert type(x.a) is Fraction and type(x.b) is Fraction
+    assert repr(x) == f"Surd({a!r}, {b!r}, {r})"
+    assert format_exact(x) == str(x) == old_format(a, b, r)
+    expected = surd(a, b, r)
+    assert x == expected and hash(x) == hash(expected)
+
+
+coefficients = st.fractions(
+    min_value=Fraction(-30), max_value=Fraction(30), max_denominator=60
+)
+radicands = st.sampled_from([2, 3, 5, 7])
+
+
+@st.composite
+def operands(draw, r):
+    """(value, (a, b)): a Surd, a Fraction or an int, with its oracle pair."""
+    kind = draw(st.sampled_from(["surd", "fraction", "int"]))
+    if kind == "int":
+        n = draw(st.integers(-30, 30))
+        return n, (Fraction(n), Fraction(0))
+    a = draw(coefficients)
+    if kind == "fraction":
+        return a, (a, Fraction(0))
+    b = draw(coefficients.filter(bool))
+    return Surd(a, b, r), (a, b)
+
+
+@given(data=st.data(), r=radicands, a=coefficients, b=coefficients.filter(bool))
+def test_surd_matches_pair_oracle(data, r, a, b):
+    x = Surd(a, b, r)
+    assert_is(x, a, b, r)
+    assert_is(-x, -a, -b, r)
+    assert x.sign() == exact_sign(x) == oracle_sign(a, b, r)
+    assert_is(abs(x), *((a, b) if oracle_sign(a, b, r) > 0 else (-a, -b)), r)
+    y, (c, d) = data.draw(operands(r))
+    for op, formula in PAIR_OPS.items():
+        # x op y, then y op x, which reaches the reflected method when y is rational
+        for (u, v), (p, q, s, t) in (((x, y), (a, b, c, d)), ((y, x), (c, d, a, b))):
+            if op is operator.truediv and s == t == 0:
+                with pytest.raises(ZeroDivisionError):
+                    op(u, v)
+                continue
+            assert_is(op(u, v), *formula(p, q, s, t, r), r)
+    sign = oracle_sign(a - c, b - d, r)
+    for op in COMPARISONS:
+        assert op(x, y) == op(sign, 0)
+        assert op(y, x) == op(0, sign)
+    assert exact_sign(x - y) == sign
+    assert (x == y) == (sign == 0)
+    # one value reached along different paths is one canonical triple,
+    # and x/2 differs from x even where only the denominator tells them apart
+    for z in ((x + y) - y, x * 7 / 7) + ((x * y / y,) if c or d else ()):
+        assert z == x and hash(z) == hash(x)
+    assert x / 2 != x
+
+
+@given(r=radicands, a=coefficients, b=coefficients.filter(bool), c=coefficients)
+def test_surd_collapses_when_the_irrational_part_cancels(r, a, b, c):
+    x = Surd(a, b, r)
+    for z, value in ((x - Surd(c, b, r), a - c), (x + Surd(c, -b, r), a + c),
+                     (x * Surd(a, -b, r), a * a - b * b * r), (x / x, 1), (x * 0, 0)):
+        assert type(z) is Fraction and z == value
+
+
+@given(rs=st.lists(radicands, min_size=2, max_size=2, unique=True),
+       a=coefficients, b=coefficients.filter(bool), c=coefficients,
+       d=coefficients.filter(bool))
+def test_every_binary_operation_rejects_mixed_radicands(rs, a, b, c, d):
+    x, y = Surd(a, b, rs[0]), Surd(c, d, rs[1])
+    for op in tuple(PAIR_OPS) + COMPARISONS:
+        for u, v in ((x, y), (y, x)):
+            with pytest.raises(ExactnessError):
+                op(u, v)
