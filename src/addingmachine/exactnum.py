@@ -325,6 +325,17 @@ def _parse_rational(text: str) -> Fraction:
         raise InputError(f"malformed rational {text!r}") from exc
 
 
+def _sqrt_term(m: re.Match, text: str) -> ExactNumber:
+    """The value of a _SQRT_TERM match of text."""
+    coef = _parse_rational(m.group("coef")) if m.group("coef") else Fraction(1)
+    if m.group("den"):
+        den = int(m.group("den"))
+        if den == 0:
+            raise InputError(f"zero denominator in {text!r}")
+        coef /= den
+    return surd(0, coef, int(m.group("r")))
+
+
 def parse_exact(text: str) -> ExactNumber:
     """Parse the canonical (p+q*sqrt(r))/s form and friendly variants."""
     s = text.strip()
@@ -338,22 +349,16 @@ def parse_exact(text: str) -> ExactNumber:
         if den == 0:
             raise InputError(f"zero denominator in {text!r}")
         return surd(Fraction(p, den), Fraction(q, den), int(m.group("r")))
-    m = _SQRT_TERM.match(s)
-    if m:
-        coef = _parse_rational(m.group("coef")) if m.group("coef") else Fraction(1)
-        if m.group("den"):
-            den = int(m.group("den"))
-            if den == 0:
-                raise InputError(f"zero denominator in {text!r}")
-            coef /= den
-        return surd(0, coef, int(m.group("r")))
+    term = _SQRT_TERM.match(s)
+    if term:
+        return _sqrt_term(term, text)
+    # a rational plus or minus one sqrt term, nothing longer
     m = _SUM_FORM.match(s)
-    if m and "sqrt" in m.group("rest"):
-        rest = parse_exact(m.group("rest"))
+    term = m and _SQRT_TERM.match(m.group("rest"))
+    if term:
         a = _parse_rational(m.group("a"))
-        if not isinstance(rest, Surd):
-            return a + rest if m.group("sign") == "+" else a - rest
-        return surd(a, rest.b if m.group("sign") == "+" else -rest.b, rest.r)
+        b = _sqrt_term(term, text)
+        return a + b if m.group("sign") == "+" else a - b
     if "sqrt" in s or "(" in s:
         raise InputError(f"malformed exact number {text!r}")
     return _parse_rational(s)

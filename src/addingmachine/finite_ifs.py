@@ -11,31 +11,43 @@ subset of M is mapped to itself by all length-n words simultaneously.
 Those sets are computed combinatorially in minimal_sets; nm_set and
 canonical covers build on it.
 
-The distinct tables of each word length come from one walk,
-_word_layers, which builds layer n+1 from layer n. Every consumer of
-word tables shares it, and nm_set walks it once, taking each length
-from the layer before instead of rebuilding from length 1. Minimality
-and regular recurrence need no word tables: they are decided on the
-union graph (an edge x -> f(x) for every map f), minimality by two
-searches and recurrence by walking, per state, the set of states that
-words of each length reach.
+Two walks feed everything else. _word_layers yields the distinct tables
+of each word length, building layer L+1 from layer L. _reach_walk
+yields R_L, one bitmask per state: bit y of R_L[x] is set when some
+length-L word sends x to y, so R_L[x] is the set of entries of the
+x-column of layer L. A word of length L+1 is a first letter f followed
+by a word of length L, so R_{L+1}[x] is the OR of R_L[f(x)] over the
+maps f: k ORs per state for k maps, however large the layer is.
+Minimality needs neither walk: it is decided on the union graph (an
+edge x -> f(x) for every map f) by two searches, once per system.
 
 Algorithm behind minimal_sets: for a single table T, any set that T
 maps onto itself consists of whole T-cycles, and the states on T-cycles
 are T's eventual image (the images X, T(X), T(T(X)), ... shrink until a
-step keeps the size; T then permutes that image). So, over the length-n
+step keeps the size; T then permutes that image). So, over the length-L
 tables: (1) intersect their eventual images, stopping if the
 intersection empties; (2) prune to the largest subset G that every
-table maps into itself, dropping each x with T(x) outside G until
-nothing drops; (3) glue x to T(x) for every table T and every x in G.
+table maps into itself, dropping each x whose R_L[x] leaves G until
+nothing drops; (3) take the forward closure under R_L of each x in G.
 Every state left by (1) lies on a T-cycle, so T maps G into itself
 exactly when each x in G has its whole T-cycle in G. Hence (2) reaches
 the same fixed point as pruning states whose cycle under some table
-leaves the surviving set, and (3) joins exactly the states that share a
-cycle of some table. The components are the minimal sets: every common
-invariant set is a union of components, and no component has a smaller
-common invariant subset. Each step is one pass over the layer, repeated
-once per state of the longest tail in (1) and once per round in (2).
+leaves the surviving set. Each edge x -> T(x) inside G lies on a
+T-cycle, and the T-cycle steps back from T(x) to x are edges too, so in
+the graph with an edge x -> y for each y in R_L[x] every edge lies on a
+cycle. Its forward closures are therefore its strongly connected
+components, and those equal its undirected components: the classes of
+gluing x to T(x) for every table T. The components are the minimal
+sets: every common invariant set is a union of components, and no
+component has a smaller common invariant subset. Step (1) is one pass
+over the layer, repeated once per state of the longest tail; steps (2)
+and (3) read R_L alone.
+
+When every map is a bijection, so is every table: its eventual image
+is all of X, step (1) keeps every state, and step (2) drops none. The
+minimal sets of length L are then the forward closures under R_L, a
+function of R_L alone, and nm_set walks R_L without building a table.
+Non-bijective systems keep the table walk, which step (1) needs.
 """
 
 from __future__ import annotations
@@ -59,9 +71,13 @@ class FiniteIFS:
     metric, when given, is an n-by-n matrix of rationals satisfying the
     metric axioms (checked, including separation and the triangle
     inequality); omitted means the discrete metric.
+
+    _minimal caches the is_minimal verdict once it is asked for; the
+    system is immutable, and the cache takes no part in equality,
+    hashing or repr.
     """
 
-    __slots__ = ("n_states", "labels", "_tables", "_by_label", "metric")
+    __slots__ = ("n_states", "labels", "_tables", "_by_label", "metric", "_minimal")
 
     def __init__(self, tables, metric=None):
         if isinstance(tables, Mapping):
@@ -97,6 +113,7 @@ class FiniteIFS:
         self._tables = tuple(rows)
         self._by_label = dict(zip(labels, rows))
         self.metric = _validate_metric(metric, n) if metric is not None else None
+        self._minimal = None
 
     # -- basic access ----------------------------------------------------
 
@@ -260,11 +277,14 @@ def minimal_sets(F: FiniteIFS, n: int) -> MinimalSetReport:
     May be empty when some length-n word acts non-surjectively everywhere;
     for systems of bijections it is always a partition refinement.
     """
-    return _minimal_sets_of(F, n, tables_of_length(F, n))
+    blocks = _minimal_blocks(F, tables_of_length(F, n))
+    sets = tuple(sorted(_states_of(block) for block in blocks))
+    whole = len(sets) == 1 and len(sets[0]) == F.n_states
+    return MinimalSetReport(n=n, sets=sets, is_whole_space=whole)
 
 
-def _minimal_sets_of(F: FiniteIFS, n: int, tables: Collection[Table]) -> MinimalSetReport:
-    """minimal_sets for the given length-n tables; their order is irrelevant."""
+def _minimal_blocks(F: FiniteIFS, tables: Collection[Table]) -> frozenset[int]:
+    """Steps (1)-(3) on one layer of tables: its minimal sets as bitmasks."""
     good = set(F.states)
     for t in tables:
         image = set(t)
@@ -275,31 +295,62 @@ def _minimal_sets_of(F: FiniteIFS, n: int, tables: Collection[Table]) -> Minimal
             image = shrunk
         good &= image
         if not good:
-            break
+            return frozenset()
+    # R of this length, read off the x-columns of the layer
+    reach = tuple(sum(1 << y for y in set(column)) for column in zip(*tables))
+    return _closures(reach, _prune(reach, sum(1 << x for x in good)))
+
+
+def _prune(reach: Sequence[int], good: int) -> int:
+    """Step (2): drop each x in good whose R[x] leaves good, until none drops."""
+    members = _states_of(good)
     while True:
-        dropped = {x for t in tables for x in good if t[x] not in good}
-        if not dropped:
-            break
-        good -= dropped
-    parent = {x: x for x in good}
+        outside = ~good
+        kept = [x for x in members if not reach[x] & outside]
+        if len(kept) == len(members):
+            return good
+        members = kept
+        good = sum(1 << x for x in kept)
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for t in tables:
-        for x in good:
-            rx, ry = find(x), find(t[x])
-            if rx != ry:
-                parent[ry] = rx
-    blocks: dict[int, list[int]] = {}
-    for x in sorted(good):
-        blocks.setdefault(find(x), []).append(x)
-    sets = tuple(sorted(tuple(b) for b in blocks.values()))
-    whole = len(sets) == 1 and len(sets[0]) == F.n_states
-    return MinimalSetReport(n=n, sets=sets, is_whole_space=whole)
+def _closures(reach: Sequence[int], good: int) -> frozenset[int]:
+    """Step (3): the forward closures under R of the states in good, as bitmasks.
+
+    Requires R[x] to lie inside good for every x in good, which step (2)
+    leaves behind.
+    """
+    blocks = []
+    while good:
+        block, todo = 0, good & -good
+        while todo:
+            low = todo & -todo
+            block |= low
+            todo = (todo | reach[low.bit_length() - 1]) & ~block
+        blocks.append(block)
+        good &= ~block
+    return frozenset(blocks)
+
+
+def _states_of(mask: int) -> tuple[int, ...]:
+    """The states whose bits are set in mask, in ascending order."""
+    return tuple(x for x in range(mask.bit_length()) if mask >> x & 1)
+
+
+def _reach_walk(F: FiniteIFS, limit: int):
+    """Yield R_L for L = 1, 2, ..., limit as a tuple of per-state bitmasks.
+
+    Bit y of R_L[x] is set when some length-L word sends x to y. A word
+    of length L+1 is a first letter f followed by a word of length L, so
+    R_{L+1}[x] is the OR of R_L[f(x)] over the maps f.
+    """
+    first, *rest = F._tables
+    reach = tuple(1 << x for x in F.states)
+    for _ in range(limit):
+        step = [reach[y] for y in first]
+        for t in rest:
+            step = [r | reach[y] for r, y in zip(step, t)]
+        reach = tuple(step)
+        yield reach
 
 
 def _images(F: FiniteIFS) -> list[tuple[int, ...]]:
@@ -330,13 +381,15 @@ def is_minimal(F: FiniteIFS) -> bool:
     reverse search from state 0 decide it, in place of a search from
     every state.
     """
-    images = _images(F)
-    preimages: list[list[int]] = [[] for _ in images]
-    for x, ys in enumerate(images):
-        for y in ys:
-            preimages[y].append(x)
-    n = F.n_states
-    return len(_reached(images, 0)) == n and len(_reached(preimages, 0)) == n
+    if F._minimal is None:
+        images = _images(F)
+        preimages: list[list[int]] = [[] for _ in images]
+        for x, ys in enumerate(images):
+            for y in ys:
+                preimages[y].append(x)
+        n = F.n_states
+        F._minimal = len(_reached(images, 0)) == n and len(_reached(preimages, 0)) == n
+    return F._minimal
 
 
 @dataclass(frozen=True)
@@ -360,27 +413,38 @@ class NMSet:
 def nm_set(F: FiniteIFS, bound: int) -> NMSet:
     """Members n <= bound: some n-th power minimal set is new at n.
 
-    The layer of length-(n+1) tables depends on the length-n layer
-    alone. So once a layer equals an earlier one, every later layer, and
-    with it every later collection of minimal sets, repeats an earlier
-    one, no new member can appear, and the walk stops there. The
-    returned bound is the one asked for, however early the walk stopped.
+    When every map is a bijection, the minimal sets of length n are the
+    forward closures under R_n (see the module docstring), and the walk
+    reads R_n alone. Otherwise it walks the table layers and runs steps
+    (1)-(3) on each. Either way the walk's next item, R_{n+1} or the
+    length-(n+1) layer, is a function of its current one. So once an item
+    equals an earlier one, every later item, and with it every later
+    collection of minimal sets, repeats an earlier one, no new member
+    can appear, and the walk stops there. R_n repeats no later than the
+    layer it is read from. The returned bound is the one asked for,
+    however early the walk stopped.
     """
     if bound < 1:
         raise InputError(f"bound must be >= 1, got {bound}")
     if not is_minimal(F):
         raise InputError("system is not minimal; its power structure is undefined here")
+    bijective = all(len(set(t)) == F.n_states for t in F._tables)
+    walk = _reach_walk(F, bound) if bijective else _word_layers(F, bound)
+    everything = (1 << F.n_states) - 1
     members = []
-    earlier: set[frozenset[int]] = set()
-    seen_layers: set[frozenset[Table]] = set()
-    for n, layer in enumerate(_word_layers(F, bound), start=1):
-        if layer in seen_layers:
+    earlier: set[int] = set()
+    seen = set()
+    for n, state in enumerate(walk, start=1):
+        if state in seen:
             break
-        seen_layers.add(layer)
-        collection = _minimal_sets_of(F, n, layer).as_frozensets()
-        if n == 1 or not collection <= earlier:
+        seen.add(state)
+        if bijective:
+            blocks = _closures(state, everything)
+        else:
+            blocks = _minimal_blocks(F, state)
+        if n == 1 or not blocks <= earlier:
             members.append(n)
-        earlier |= collection
+        earlier |= blocks
     return NMSet(bound=bound, members=tuple(members))
 
 
@@ -414,36 +478,32 @@ def regularly_recurrent_points(F: FiniteIFS, horizon: int | None = None) -> froz
     returning to every neighborhood along a full arithmetic progression.
 
     The check reads only the x-column of the length-n tables: the set
-    R_n(x) of states that length-n words send x to. Every length-n word
-    fixes x exactly when R_n(x) = {x}, and R_{n+1}(x) is the union of
-    the images of R_n(x) under the maps, so the walk keeps one bitmask
-    per state instead of the tables. R_{n+1}(x) depends on R_n(x) alone,
-    so once a set repeats the sequence cycles through sets already
-    checked and the walk for x stops early.
+    R_n(x) of states that length-n words send x to, as _reach_walk yields
+    it. Every length-n word fixes x exactly when R_n(x) = {x}. A
+    length-(n+1) word is also a length-n word followed by a last letter,
+    so R_{n+1}(x) is the union of the images of R_n(x) under the maps
+    and depends on R_n(x) alone. Once x's own set repeats, its sequence
+    cycles through sets already checked, and x is settled. The walk
+    stops at the horizon, or once every state is found or settled; it
+    never waits for the whole vector R_n to repeat, which can take the
+    lcm of the states' periods.
     """
     if horizon is None:
         horizon = F.n_states * F.n_states
     if horizon < 1:
         raise InputError(f"horizon must be >= 1, got {horizon}")
-    step = [0] * F.n_states
-    for x, ys in enumerate(_images(F)):
-        for y in ys:
-            step[x] |= 1 << y
     found: set[int] = set()
-    for x in F.states:
-        reach, seen = step[x], set()
-        for _ in range(horizon):
-            if reach == 1 << x:
+    pending: dict[int, set[int]] = {x: set() for x in F.states}
+    for reach in _reach_walk(F, horizon):
+        for x, seen in list(pending.items()):
+            if reach[x] == 1 << x:
                 found.add(x)
-                break
-            if reach in seen:
-                break
-            seen.add(reach)
-            rest, reach = reach, 0
-            while rest:
-                low = rest & -rest
-                reach |= step[low.bit_length() - 1]
-                rest ^= low
+            elif reach[x] not in seen:
+                seen.add(reach[x])
+                continue
+            del pending[x]
+        if not pending:
+            break
     return frozenset(found)
 
 

@@ -2,6 +2,7 @@ from textwrap import dedent
 
 import pytest
 
+from addingmachine import finite_ifs
 from addingmachine.cli import main
 
 Z6_TWO_TEXT = dedent("""\
@@ -197,6 +198,21 @@ def test_ifs_verify_full_report(capsys, z6two):
         base check: PASS (2^1)
         verdict: PASS
         """)
+
+
+def test_ifs_verify_decides_minimality_once(capsys, z6two, monkeypatch):
+    # is_minimal is asked at every guard, but only the first call searches
+    searches = []
+    reached = finite_ifs._reached
+
+    def counting(successors, x):
+        searches.append(x)
+        return reached(successors, x)
+
+    monkeypatch.setattr(finite_ifs, "_reached", counting)
+    code, out, _ = run(capsys, "ifs", "verify", z6two)
+    assert code == 0
+    assert len(searches) == 2  # one forward and one reverse search
 
 
 @pytest.fixture
@@ -483,6 +499,13 @@ def test_tent_zero_denominator_after_sqrt(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: zero denominator in 'sqrt(2)/0'\n"
+
+
+def test_tent_chained_sum_is_an_input_error(capsys):
+    code, out, err = run(capsys, "tent", "cycle", "--a", "1+2+sqrt(2)", "--n", "2")
+    assert code == 1
+    assert out == ""
+    assert err == "error: malformed exact number '1+2+sqrt(2)'\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -114,6 +114,22 @@ def test_parse_rejects_garbage():
             parse_exact(text)
 
 
+@pytest.mark.parametrize("text", ["1+2+sqrt(2)", "1-2+sqrt(2)", "1+sqrt(2)+1",
+                                  "1+(1+1*sqrt(2))/2", "1+sqrt(2)-sqrt(2)"])
+def test_parse_rejects_chained_sums(text):
+    # only a rational plus or minus one sqrt term is a sum; reading a longer
+    # chain as one would drop its extra terms
+    with pytest.raises(InputError, match="malformed exact number"):
+        parse_exact(text)
+
+
+def test_parse_single_sums_unchanged():
+    assert parse_exact("1-sqrt(2)") == 1 - R2
+    assert parse_exact("-1-sqrt(2)") == -1 - R2
+    assert parse_exact("1+2*sqrt(2)/3") == 1 + Fraction(2, 3) * R2
+    assert format_exact(parse_exact("1+2*sqrt(2)/3")) == "(3+2*sqrt(2))/3"
+
+
 @pytest.mark.parametrize("text", ["sqrt(2)/0", "3*sqrt(2)/0", "1+sqrt(2)/0"])
 def test_parse_zero_denominator_after_sqrt(text):
     with pytest.raises(InputError, match="zero denominator"):

@@ -1,10 +1,12 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from addingmachine.cli import main
 from addingmachine.errors import InputError, NoCanonicalCoverError
 from addingmachine.finite_ifs import (
     FiniteIFS,
@@ -22,6 +24,7 @@ from addingmachine.finite_ifs import (
     rotation_system,
     tables_of_length,
 )
+from addingmachine.ifs_io import format_ifs
 from strategies import small_systems
 
 Z6 = rotation_system(6, [1])
@@ -422,6 +425,117 @@ def test_is_minimal_matches_definition(F):
         return seen
 
     assert is_minimal(F) == all(reached(x) == set(F.states) for x in F.states)
+
+
+def test_is_minimal_verdict_is_cached_out_of_equality_hash_and_repr():
+    asked, fresh = rotation_system(6, [1, 3]), rotation_system(6, [1, 3])
+    assert is_minimal(asked)
+    assert asked == fresh and hash(asked) == hash(fresh)
+    assert repr(asked) == repr(fresh)
+    assert is_minimal(fresh)
+
+
+# -- the reach kernel on permutation systems ----------------------------------
+
+
+@st.composite
+def permutation_systems(draw):
+    """1-3 permutations of at most 7 states; half are relabelled rotations."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    labels = "abc"[: draw(st.integers(min_value=1, max_value=3))]
+    if not draw(st.booleans()):
+        return FiniteIFS({l: tuple(draw(st.permutations(range(n)))) for l in labels})
+    name = draw(st.permutations(range(n)))
+    tables = {}
+    for label in labels:
+        shift, table = draw(st.integers(0, n - 1)), [0] * n
+        for x in range(n):
+            table[name[x]] = name[(x + shift) % n]
+        tables[label] = tuple(table)
+    return FiniteIFS(tables)
+
+
+def bfs_period(F):
+    """gcd of l(x) + 1 - l(y) over the edges x -> y, l the BFS levels from 0."""
+    levels = {0: 0}
+    queue = [0]
+    for x in queue:
+        for label in F.labels:
+            y = F.apply(label, x)
+            if y not in levels:
+                levels[y] = levels[x] + 1
+                queue.append(y)
+    return math.gcd(*(
+        levels[x] + 1 - levels[F.apply(label, x)]
+        for x in F.states for label in F.labels
+    ))
+
+
+@settings(max_examples=60, deadline=None)
+@given(F=permutation_systems().filter(is_minimal))
+@example(F=rotation_system(6, [2, 3]))
+def test_nm_set_on_permutation_systems_matches_per_length_oracle(F):
+    top = F.n_states ** 2 + 3
+    maps = [F.table(label) for label in F.labels]
+    level, seen, members, earlier = frozenset(maps), set(), [], set()
+    for n in range(1, top + 1):
+        # each layer is a function of the previous one, so once a layer
+        # repeats, every later collection has been seen and members is final
+        if level in seen:
+            break
+        seen.add(level)
+        collection = set(brute_minimal_sets_of(F, level))
+        if n == 1 or collection - earlier:
+            members.append(n)
+        earlier |= collection
+        level = frozenset(tuple(t[v] for v in prev) for prev in level for t in maps)
+    for bound in range(1, top + 1):
+        assert nm_set(F, bound).members == tuple(m for m in members if m <= bound)
+
+
+def minimal_two_permutation_system(n, seed):
+    rng = random.Random(seed)
+    while True:
+        tables = {}
+        for label in "ab":
+            table = list(range(n))
+            rng.shuffle(table)
+            tables[label] = tuple(table)
+        F = FiniteIFS(tables)
+        if is_minimal(F):
+            return F
+
+
+# out of reach of the table walk, which enumerates the whole generated
+# permutation group: about 1 s for the rotation, far longer for the pair
+@pytest.mark.parametrize("F", [
+    rotation_system(384, [1, 5]),
+    minimal_two_permutation_system(24, seed=3),
+], ids=["rotation-384", "two-permutations-24"])
+def test_nm_set_on_large_permutation_systems_is_the_divisors_of_the_period(F):
+    d = bfs_period(F)
+    n = F.n_states
+    assert nm_set(F, n).members == tuple(k for k in range(1, n + 1) if d % k == 0)
+
+
+def test_verify_passes_on_a_24_state_two_permutation_system(tmp_path, capsys):
+    path = tmp_path / "two-permutations-24.ifs"
+    path.write_text(format_ifs(minimal_two_permutation_system(24, seed=3)))
+    assert main(["ifs", "verify", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("verdict: PASS\n")
+
+
+def test_regularly_recurrent_points_do_not_wait_for_the_lcm_of_the_periods():
+    # one permutation with cycles of the primes 2..23, which sum to 100;
+    # each state is fixed at its own cycle length, while the whole reach
+    # vector repeats only after lcm = 223092870 steps
+    table = []
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+        start = len(table)
+        table += [start + (i + 1) % p for i in range(p)]
+    F = FiniteIFS({"a": tuple(table)})
+    assert F.n_states == 100
+    assert regularly_recurrent_points(F, 10**9) == frozenset(F.states)
 
 
 # -- shadowing and sensitivity ---------------------------------------------------
