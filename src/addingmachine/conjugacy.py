@@ -308,7 +308,7 @@ def build_factor_map(F: FiniteIFS, tower: CyclicTower) -> FactorMap:
     digits = tuple(
         from_residue(base, tower.depth, r).digits for r in residues
     )
-    return FactorMap.from_digits(tower.primes, digits)
+    return FactorMap(primes=tuple(tower.primes), digits=digits, residues=residues)
 
 
 @dataclass(frozen=True)

@@ -3,18 +3,23 @@
 Numbers are either plain Fractions or Surd objects (p + q*sqrt(r))/s
 with integers p, q, s and r, kept reduced: s > 0, q != 0,
 gcd(p, q, s) = 1, and r squarefree and >= 2. That form is canonical, so
-equality and hashing compare fields. Every arithmetic operation builds
-its triple with integer formulas and reduces it with one gcd; when the
-irrational part cancels the result is a Fraction. Comparisons run no
-gcd: both sides go over a common positive denominator and one integer
-rule (_sign) decides, comparing P^2 with Q^2*r when P and Q have
-opposite signs. Nothing here ever rounds. Combining two surds with
-different radicands raises ExactnessError instead of silently falling
-back to floats.
+equality and hashing compare fields.
+
+Each operation is one integer formula over two triples (p, q, s): a
+rational operand n/d enters as (n, 0, d), so no operation has a
+separate rational case. The result is reduced with one gcd and is a
+Fraction when the irrational part cancels. Comparisons run no gcd: both
+sides go over a common positive denominator and one integer rule
+(_sign) decides, comparing P^2 with Q^2*r when P and Q have opposite
+signs. Nothing here ever rounds. Combining two surds with different
+radicands raises ExactnessError instead of silently falling back to
+floats.
 
 The canonical text form is (p+q*sqrt(r))/s, the reduced triple itself.
-parse_exact also accepts plain integers, fractions p/q, decimal
-literals, and lightweight variants like sqrt(2), 3*sqrt(2)/4, 2-sqrt(2).
+parse_exact also reads plain integers, fractions p/q and decimal
+literals, and one sqrt term c*sqrt(r)/d (c and d optional) after an
+optional rational and its sign or a bare minus: sqrt(2), -sqrt(2),
+3*sqrt(2)/4, 2-sqrt(2).
 """
 
 from __future__ import annotations
@@ -29,29 +34,16 @@ from .errors import ExactnessError, InputError
 
 ExactNumber = Union[Fraction, "Surd"]
 
-_SQUAREFREE_CACHE: dict[int, tuple[int, int]] = {}
-
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write n >= 1 as k*k*m with m squarefree; return (k, m)."""
     if n < 1:
         raise InputError(f"radicand must be positive, got {n}")
-    if n in _SQUAREFREE_CACHE:
-        return _SQUAREFREE_CACHE[n]
     k = m = 1
     for p, e in factorize(n).items():
         k *= p ** (e // 2)
         m *= p ** (e % 2)
-    _SQUAREFREE_CACHE[n] = (k, m)
     return k, m
-
-
-def _rational(x) -> tuple[int, int] | None:
-    """(numerator, denominator) of an int or Fraction; None for anything
-    else, bool included."""
-    if isinstance(x, Fraction) or (isinstance(x, int) and not isinstance(x, bool)):
-        return x.numerator, x.denominator
-    return None
 
 
 def _reduced(p: int, q: int, s: int, r: int) -> ExactNumber:
@@ -71,6 +63,18 @@ def _reduced(p: int, q: int, s: int, r: int) -> ExactNumber:
     return x
 
 
+def _quotient(p: int, q: int, s: int, p2: int, q2: int, s2: int, r: int) -> ExactNumber:
+    """(p + q*sqrt(r))/s divided by (p2 + q2*sqrt(r))/s2, multiplied
+    through by the conjugate p2 - q2*sqrt(r). The norm p2^2 - q2^2*r is
+    nonzero unless p2 = q2 = 0, because sqrt(r) is irrational."""
+    if not p2 and not q2:
+        raise ZeroDivisionError("division by zero")
+    return _reduced(
+        s2 * (p * p2 - q * q2 * r), s2 * (q * p2 - p * q2),
+        s * (p2 * p2 - q2 * q2 * r), r,
+    )
+
+
 class Surd:
     """An irrational element (p + q*sqrt(r))/s of Q(sqrt(r)).
 
@@ -82,6 +86,13 @@ class Surd:
     with the surd() factory or plain arithmetic; Surd(a, b, r) takes the
     rational coefficients of a + b*sqrt(r), and .a and .b give them back
     as Fractions.
+
+    Every operation reads its operand through _parts, which gives a
+    rational n/d as the triple (n, 0, d), and applies one formula to the
+    two triples. The reflected - and / apply their formula with the
+    triples swapped rather than negating or inverting the forward
+    result: that would reduce twice, and 1 - x is a step of every tent
+    orbit.
     """
 
     __slots__ = ("_p", "_q", "_s", "r")
@@ -112,11 +123,19 @@ class Surd:
 
     # -- helpers -------------------------------------------------------
 
-    def _check_compatible(self, other: "Surd") -> None:
-        if self.r != other.r:
-            raise ExactnessError(
-                f"cannot combine sqrt({self.r}) with sqrt({other.r}) exactly"
-            )
+    def _parts(self, other) -> tuple[int, int, int] | None:
+        """other as a triple (p, q, s) over this radicand: (n, 0, d) for an
+        int or Fraction n/d, a Surd's own triple, None for anything else,
+        bool included. A Surd with another radicand raises ExactnessError."""
+        if isinstance(other, Fraction) or (isinstance(other, int) and not isinstance(other, bool)):
+            return other.numerator, 0, other.denominator
+        if isinstance(other, Surd):
+            if other.r != self.r:
+                raise ExactnessError(
+                    f"cannot combine sqrt({self.r}) with sqrt({other.r}) exactly"
+                )
+            return other._p, other._q, other._s
+        return None
 
     def sign(self) -> int:
         """Exact sign of (p + q*sqrt(r))/s, which is that of p + q*sqrt(r)."""
@@ -125,16 +144,12 @@ class Surd:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
+        t = self._parts(other)
+        if t is None:
+            return NotImplemented
         p, q, s, r = self._p, self._q, self._s, self.r
-        nd = _rational(other)
-        if nd is not None:
-            n, d = nd
-            return _reduced(p * d + n * s, q * d, s * d, r)
-        if isinstance(other, Surd):
-            self._check_compatible(other)
-            p2, q2, s2 = other._p, other._q, other._s
-            return _reduced(p * s2 + p2 * s, q * s2 + q2 * s, s * s2, r)
-        return NotImplemented
+        p2, q2, s2 = t
+        return _reduced(p * s2 + p2 * s, q * s2 + q2 * s, s * s2, r)
 
     __radd__ = __add__
 
@@ -142,65 +157,42 @@ class Surd:
         return _reduced(-self._p, -self._q, self._s, self.r)
 
     def __sub__(self, other):
+        t = self._parts(other)
+        if t is None:
+            return NotImplemented
         p, q, s, r = self._p, self._q, self._s, self.r
-        nd = _rational(other)
-        if nd is not None:
-            n, d = nd
-            return _reduced(p * d - n * s, q * d, s * d, r)
-        if isinstance(other, Surd):
-            self._check_compatible(other)
-            p2, q2, s2 = other._p, other._q, other._s
-            return _reduced(p * s2 - p2 * s, q * s2 - q2 * s, s * s2, r)
-        return NotImplemented
+        p2, q2, s2 = t
+        return _reduced(p * s2 - p2 * s, q * s2 - q2 * s, s * s2, r)
 
     def __rsub__(self, other):
-        nd = _rational(other)
-        if nd is not None:
-            n, d = nd
-            s = self._s
-            return _reduced(n * s - self._p * d, -self._q * d, s * d, self.r)
-        return NotImplemented
+        t = self._parts(other)
+        if t is None:
+            return NotImplemented
+        p, q, s, r = self._p, self._q, self._s, self.r
+        p2, q2, s2 = t
+        return _reduced(p2 * s - p * s2, q2 * s - q * s2, s * s2, r)
 
     def __mul__(self, other):
+        t = self._parts(other)
+        if t is None:
+            return NotImplemented
         p, q, s, r = self._p, self._q, self._s, self.r
-        nd = _rational(other)
-        if nd is not None:
-            n, d = nd
-            return _reduced(p * n, q * n, s * d, r)
-        if isinstance(other, Surd):
-            self._check_compatible(other)
-            p2, q2, s2 = other._p, other._q, other._s
-            return _reduced(p * p2 + q * q2 * r, p * q2 + q * p2, s * s2, r)
-        return NotImplemented
+        p2, q2, s2 = t
+        return _reduced(p * p2 + q * q2 * r, p * q2 + q * p2, s * s2, r)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        p, q, s, r = self._p, self._q, self._s, self.r
-        nd = _rational(other)
-        if nd is not None:
-            n, d = nd
-            if n == 0:
-                raise ZeroDivisionError("division by zero")
-            return _reduced(p * d, q * d, s * n, r)
-        if isinstance(other, Surd):
-            self._check_compatible(other)
-            # multiply through by the conjugate p2 - q2*sqrt(r); the norm
-            # p2^2 - q2^2*r is nonzero because sqrt(r) is irrational
-            p2, q2, s2 = other._p, other._q, other._s
-            return _reduced(
-                s2 * (p * p2 - q * q2 * r), s2 * (q * p2 - p * q2),
-                s * (p2 * p2 - q2 * q2 * r), r,
-            )
-        return NotImplemented
+        t = self._parts(other)
+        if t is None:
+            return NotImplemented
+        return _quotient(self._p, self._q, self._s, *t, self.r)
 
     def __rtruediv__(self, other):
-        nd = _rational(other)
-        if nd is not None:
-            n, d = nd
-            p, q, s, r = self._p, self._q, self._s, self.r
-            return _reduced(n * s * p, -n * s * q, d * (p * p - q * q * r), r)
-        return NotImplemented
+        t = self._parts(other)
+        if t is None:
+            return NotImplemented
+        return _quotient(*t, self._p, self._q, self._s, self.r)
 
     def __abs__(self):
         return self if self.sign() >= 0 else -self
@@ -209,17 +201,13 @@ class Surd:
 
     def _cmp(self, other) -> int:
         """Sign of self - other over the common positive denominator
-        s*d or s*s2, so no gcd runs."""
+        s*s2, so no gcd runs."""
+        t = self._parts(other)
+        if t is None:
+            raise TypeError(f"cannot compare Surd with {type(other).__name__}")
         p, q, s = self._p, self._q, self._s
-        nd = _rational(other)
-        if nd is not None:
-            n, d = nd
-            return _sign(p * d - n * s, q * d, self.r)
-        if isinstance(other, Surd):
-            self._check_compatible(other)
-            p2, q2, s2 = other._p, other._q, other._s
-            return _sign(p * s2 - p2 * s, q * s2 - q2 * s, self.r)
-        raise TypeError(f"cannot compare Surd with {type(other).__name__}")
+        p2, q2, s2 = t
+        return _sign(p * s2 - p2 * s, q * s2 - q2 * s, self.r)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
@@ -303,18 +291,17 @@ def exact_sqrt(x) -> ExactNumber:
     # sqrt(p/q) = sqrt(p*q)/q
     n = q.numerator * q.denominator
     k, m = squarefree_decompose(n)
-    return surd(0, Fraction(k, q.denominator), m) if m != 1 else Fraction(k, q.denominator)
+    return surd(0, Fraction(k, q.denominator), m)
 
 
 _RAT = r"-?\d+(?:/\d+|\.\d+)?"
 _FULL_FORM = re.compile(
     r"^\(\s*(?P<p>-?\d+)\s*(?P<sign>[+-])\s*(?P<q>\d+)\s*\*\s*sqrt\(\s*(?P<r>\d+)\s*\)\s*\)\s*/\s*(?P<s>-?\d+)$"
 )
-_SQRT_TERM = re.compile(
-    r"^(?:(?P<coef>" + _RAT + r")\s*\*\s*)?sqrt\(\s*(?P<r>\d+)\s*\)(?:\s*/\s*(?P<den>\d+))?$"
-)
-_SUM_FORM = re.compile(
-    r"^(?P<a>" + _RAT + r")\s*(?P<sign>[+-])\s*(?P<rest>.+)$"
+# an optional rational and its sign, or a bare minus, then one sqrt term
+_SQRT_FORM = re.compile(
+    r"^(?:(?P<a>" + _RAT + r")\s*(?P<sign>[+-])|(?P<neg>-))?\s*"
+    r"(?:(?P<c>" + _RAT + r")\s*\*\s*)?sqrt\(\s*(?P<r>\d+)\s*\)(?:\s*/\s*(?P<d>\d+))?$"
 )
 
 
@@ -323,17 +310,6 @@ def _parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"malformed rational {text!r}") from exc
-
-
-def _sqrt_term(m: re.Match, text: str) -> ExactNumber:
-    """The value of a _SQRT_TERM match of text."""
-    coef = _parse_rational(m.group("coef")) if m.group("coef") else Fraction(1)
-    if m.group("den"):
-        den = int(m.group("den"))
-        if den == 0:
-            raise InputError(f"zero denominator in {text!r}")
-        coef /= den
-    return surd(0, coef, int(m.group("r")))
 
 
 def parse_exact(text: str) -> ExactNumber:
@@ -349,16 +325,18 @@ def parse_exact(text: str) -> ExactNumber:
         if den == 0:
             raise InputError(f"zero denominator in {text!r}")
         return surd(Fraction(p, den), Fraction(q, den), int(m.group("r")))
-    term = _SQRT_TERM.match(s)
-    if term:
-        return _sqrt_term(term, text)
-    # a rational plus or minus one sqrt term, nothing longer
-    m = _SUM_FORM.match(s)
-    term = m and _SQRT_TERM.match(m.group("rest"))
-    if term:
-        a = _parse_rational(m.group("a"))
-        b = _sqrt_term(term, text)
-        return a + b if m.group("sign") == "+" else a - b
+    m = _SQRT_FORM.match(s)
+    if m:
+        a = _parse_rational(m.group("a")) if m.group("a") else Fraction(0)
+        c = _parse_rational(m.group("c")) if m.group("c") else Fraction(1)
+        if m.group("d"):
+            d = int(m.group("d"))
+            if d == 0:
+                raise InputError(f"zero denominator in {text!r}")
+            c /= d
+        if m.group("sign") == "-" or m.group("neg"):
+            c = -c
+        return surd(a, c, int(m.group("r")))
     if "sqrt" in s or "(" in s:
         raise InputError(f"malformed exact number {text!r}")
     return _parse_rational(s)

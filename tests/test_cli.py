@@ -494,6 +494,13 @@ def test_tent_bad_slope(capsys):
     assert "slope" in err
 
 
+def test_tent_negative_surd_slope_names_the_range(capsys):
+    code, out, err = run(capsys, "tent", "orbit", "--a=-sqrt(2)")
+    assert code == 1
+    assert out == ""
+    assert "slope must lie in [0, 2]" in err
+
+
 def test_tent_zero_denominator_after_sqrt(capsys):
     code, out, err = run(capsys, "tent", "orbit", "--a", "sqrt(2)/0")
     assert code == 1

@@ -274,6 +274,8 @@ def test_from_digits_validation():
 def test_equivariance_passes_on_built_maps():
     for F in (Z4, Z6, Z12, Z6_TWO):
         fm = build_factor_map(F, max_tower(F))
+        # the residues built with the digits are the ones the digits encode
+        assert fm == FactorMap.from_digits(fm.primes, fm.digits)
         report = verify_equivariance(F, fm)
         assert report.passed
         assert report.witness is None

@@ -3,7 +3,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from addingmachine.errors import ExactnessError, InputError
 from addingmachine.exactnum import (
@@ -109,7 +109,7 @@ def test_parse_and_format_roundtrip():
 
 
 def test_parse_rejects_garbage():
-    for text in ["", "sqrt(-1)", "1+/2", "(1+1*sqrt(2))/0", "two", "sqrt(2)+"]:
+    for text in ["", "sqrt(-1)", "1+/2", "(1+1*sqrt(2))/0", "two", "sqrt(2)+", "+sqrt(2)"]:
         with pytest.raises(InputError):
             parse_exact(text)
 
@@ -128,6 +128,12 @@ def test_parse_single_sums_unchanged():
     assert parse_exact("-1-sqrt(2)") == -1 - R2
     assert parse_exact("1+2*sqrt(2)/3") == 1 + Fraction(2, 3) * R2
     assert format_exact(parse_exact("1+2*sqrt(2)/3")) == "(3+2*sqrt(2))/3"
+
+
+def test_parse_leading_minus_before_sqrt_term():
+    assert parse_exact("-sqrt(2)") == -surd(0, 1, 2)
+    assert parse_exact("-3*sqrt(2)/4") == surd(0, Fraction(-3, 4), 2)
+    assert parse_exact(" - sqrt(8)") == surd(0, -2, 2)
 
 
 @pytest.mark.parametrize("text", ["sqrt(2)/0", "3*sqrt(2)/0", "1+sqrt(2)/0"])
@@ -339,3 +345,32 @@ def test_every_binary_operation_rejects_mixed_radicands(rs, a, b, c, d):
         for u, v in ((x, y), (y, x)):
             with pytest.raises(ExactnessError):
                 op(u, v)
+
+
+@given(a=st.none() | coefficients, op=st.sampled_from(["", "+", "-"]),
+       space=st.sampled_from(["", " "]), c=st.none() | coefficients, r=radicands,
+       d=st.none() | st.integers(1, 60), y=radicands.flatmap(operands))
+def test_one_grammar_matches_arithmetic(a, op, space, c, r, d, y):
+    # a rational and its sign, or a bare sign, then one term c*sqrt(r)/d;
+    # without a rational a plus may not lead
+    assume(a is None or op)  # a rational with no sign would run into c
+    text = (f"{'' if a is None else a}{space}{op}{space}"
+            f"{'' if c is None else f'{c}*'}sqrt({r}){'' if d is None else f'/{d}'}")
+    if op == "+" and a is None:
+        with pytest.raises(InputError, match="malformed exact number"):
+            parse_exact(text)
+    else:
+        term = surd(0, Fraction(1 if c is None else c) / (d or 1), r)
+        value = (a or 0) + term if op != "-" else (a or 0) - term
+        assert parse_exact(text) == value
+    x, _ = y
+    assert parse_exact(format_exact(x)) == x
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_bool_operands_raise_type_error(flag):
+    for op in tuple(PAIR_OPS) + COMPARISONS:
+        for u, v in ((R2, flag), (flag, R2)):
+            with pytest.raises(TypeError):
+                op(u, v)
+    assert (R2 == flag) is False and (flag == R2) is False
