@@ -171,6 +171,11 @@ def _cmd_ifs(args) -> int:
 
 # -- tent ---------------------------------------------------------------------
 
+# a sweep certifies at most this many steps past --from, so at most one
+# more slope than this; the bound is one exact comparison, made before
+# the first slope
+SWEEP_MAX_STEPS = 10_000
+
 
 def _cmd_tent(args) -> int:
     if args.op == "orbit":
@@ -248,6 +253,9 @@ def _cmd_tent(args) -> int:
         step = parse_exact(args.step)
         if step <= 0:
             raise InputError("step must be positive")
+        if start + SWEEP_MAX_STEPS * step < stop:
+            raise InputError(f"tent sweep spans more than {SWEEP_MAX_STEPS} steps; "
+                             "use a larger --step or a shorter range")
         if not args.primes and args.n is None:
             raise InputError("tent sweep needs --n or --primes")
         rows = ["a,level_certified,cycle_lengths,status"]

@@ -15,8 +15,9 @@ signs. Nothing here ever rounds. Combining two surds with different
 radicands raises ExactnessError instead of silently falling back to
 floats.
 
-The canonical text form is (p+q*sqrt(r))/s, the reduced triple itself.
-parse_exact also reads plain integers, fractions p/q and decimal
+The canonical text form is (p+q*sqrt(r))/s, the reduced triple itself;
+parse_exact reads it with q*sqrt(r) written as sqrt(r) too, as in
+(1+sqrt(5))/2. It also reads plain integers, fractions p/q and decimal
 literals, and one sqrt term c*sqrt(r)/d (c and d optional) after an
 optional rational and its sign or a bare minus: sqrt(2), -sqrt(2),
 3*sqrt(2)/4, 2-sqrt(2).
@@ -296,7 +297,7 @@ def exact_sqrt(x) -> ExactNumber:
 
 _RAT = r"-?\d+(?:/\d+|\.\d+)?"
 _FULL_FORM = re.compile(
-    r"^\(\s*(?P<p>-?\d+)\s*(?P<sign>[+-])\s*(?P<q>\d+)\s*\*\s*sqrt\(\s*(?P<r>\d+)\s*\)\s*\)\s*/\s*(?P<s>-?\d+)$"
+    r"^\(\s*(?P<p>-?\d+)\s*(?P<sign>[+-])\s*(?:(?P<q>\d+)\s*\*\s*)?sqrt\(\s*(?P<r>\d+)\s*\)\s*\)\s*/\s*(?P<s>-?\d+)$"
 )
 # an optional rational and its sign, or a bare minus, then one sqrt term
 _SQRT_FORM = re.compile(
@@ -320,7 +321,7 @@ def parse_exact(text: str) -> ExactNumber:
     m = _FULL_FORM.match(s)
     if m:
         p = int(m.group("p"))
-        q = int(m.group("q")) * (1 if m.group("sign") == "+" else -1)
+        q = int(m.group("q") or 1) * (1 if m.group("sign") == "+" else -1)
         den = int(m.group("s"))
         if den == 0:
             raise InputError(f"zero denominator in {text!r}")

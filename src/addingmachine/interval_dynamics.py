@@ -5,21 +5,52 @@ T_a(x) = a*x for x < 1/2 and a*(1-x) for x >= 1/2, with slope a in
 orbits, kneading symbols, and interval endpoints are all exact; cycles
 are detected by exact equality, never by closeness.
 
-Every orbit comes from one walk, _orbit, the module's only caller of
-tent_eval: it yields x, T(x), T(T(x)), ... and checks each point
-against [0, 1] before yielding it. After the starting point that check
-always passes, because T_a maps [0, 1] into [0, a/2] and a <= 2; it
-stays so that an outside starting point is rejected.
+Orbits are walked in integers. With the slope written as the triple
+(p + q*sqrt(r))/s of exactnum (q = 0 for a rational p/s in lowest
+terms), a point is a triple (P + Q*sqrt(r))/D with D > 0 and one step
+is
 
-Each TentParam keeps the prefix of the critical orbit (the orbit of 1/2)
-walked so far, and _orbit(param, HALF) reads and extends that list, so
-the levels of one tower_certificate, or any other consumers handed the
-same TentParam, share one walk. The memo lives exactly as long as its
+    x < 1/2:   (p*P + q*Q*r, p*Q + q*P, s*D)
+    x >= 1/2:  (p*E - q*Q*r, q*E - p*Q, s*D)   with E = D - P,
+
+where x < 1/2 is _sign(2P - D, 2Q, r) < 0. _walk is that loop and the
+module's one orbit walk; a Fraction or Surd is built from a triple only
+where a caller needs an exact number.
+
+On the critical orbit of a rational slope the walk keeps numerators
+alone: the k-th point is P_k/(2*s^k), never reduced, because reducing
+could only remove one factor 2. Proof: gcd(p, s) = 1 and P_0 = 1. If
+gcd(P_k, s) = 1, then P_{k+1} is p*P_k or p*(2*s^k - P_k), and for
+k >= 1 the latter is -p*P_k modulo every prime of s (for k = 0 it is
+p). So every P_k is coprime to s, the only prime P_k and 2*s^k can share
+is 2, and they share 4 only if s is even, which makes P_k odd. Hence
+gcd(P_k, 2*s^k) is 1 or 2, and a gcd per step would buy at most one bit.
+
+A surd walk reduces each step with one gcd(P, Q, D), which keeps its
+triples canonical (equal values, equal triples) and short: without it a
+periodic orbit would carry a common factor that grows with every step.
+The golden mean (1+sqrt(5))/2 returns to 1/2 every three steps while
+s^k = 2^k grows.
+
+Each TentParam keeps the walked prefix of its critical orbit (the orbit
+of 1/2) in integer form, in one flat list: numerators for a rational
+slope, whose denominators 2*s^k follow from the index, and P, Q, D of
+each reduced triple in turn for a surd slope, with no tuple per point.
+_critical walks it on and hands out its points: _orbit turns them into
+the exact points that critical_orbit and omega_limit_estimate use, and
+kneading_sequence and detect_interval_cycle read the integers directly.
+So the levels of one tower_certificate, or any other consumers handed
+the same TentParam, share one walk. Readers may interleave, even from
+two threads: an extension only stores entries that follow from the
+last one, and the memo never shrinks, so a racing extension rewrites
+equal values. The memo lives exactly as long as its
 TentParam: public functions given a raw slope build a fresh TentParam,
 so every call with an equal slope value walks the orbit again. Nothing
 is cached across calls (no module-level table, no lru_cache), because a
 process-wide cache would grow with every slope ever seen and would only
 pay off for repeated identical calls, which a CLI run never makes.
+Orbits of other points (omega_limit_estimate from y != 1/2) run the
+same walk, in reduced triples and without a memo.
 
 The renormalization detector looks for n closed intervals, one per
 residue class of the iteration index, that are pairwise disjoint and
@@ -27,16 +58,20 @@ cyclically permuted by the map. Such a family is the interval
 counterpart of one tower level of a cyclic partition, and certified
 levels for sizes m_1 | m_2 | ... chain into an adding-machine-style
 certificate (necessary evidence, not a proof of the full structure).
+The class hulls are min and max over plain integer keys of the samples
+(_window_keys); only their 2n endpoints become exact numbers, and the
+images of the hulls are read off tent_eval at their ends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, count, islice
+from math import gcd, isqrt, lcm
 
-from .errors import InputError
-from .exactnum import ExactNumber, Surd, exact_sign, format_exact, parse_exact
+from .errors import ExactnessError, InputError
+from .exactnum import ExactNumber, Surd, _reduced, _sign, format_exact, parse_exact
 
 HALF = Fraction(1, 2)
 
@@ -55,20 +90,29 @@ def _coerce(value) -> ExactNumber:
 class TentParam:
     """A validated tent-map slope in [0, 2].
 
-    _critical is the walked prefix of the critical orbit, 1/2, T(1/2), ...;
-    it takes no part in equality, hashing or repr.
+    _kernel is the slope as integers (p, q, s, r), with q = r = 0 for a
+    rational p/s; _critical is the walked prefix of the critical orbit
+    in integer form (see the module docstring), and _window the keys of
+    the last window _window_keys built. None of them takes part in
+    equality, hashing or repr.
     """
 
     a: ExactNumber
-    _critical: list = field(
-        default_factory=lambda: [HALF], init=False, compare=False, repr=False
-    )
+    _kernel: tuple = field(init=False, compare=False, repr=False)
+    _critical: list = field(init=False, compare=False, repr=False)
+    _window: tuple = field(default=(), init=False, compare=False, repr=False)
 
     def __post_init__(self):
         value = _coerce(self.a)
         object.__setattr__(self, "a", value)
         if value < 0 or value > 2:
             raise InputError(f"slope must lie in [0, 2], got {format_exact(value)}")
+        if isinstance(value, Surd):
+            kernel, start = (value._p, value._q, value._s, value.r), [1, 0, 2]
+        else:
+            kernel, start = (value.numerator, 0, value.denominator, 0), [1]
+        object.__setattr__(self, "_kernel", kernel)
+        object.__setattr__(self, "_critical", start)
 
     @classmethod
     def from_text(cls, text: str) -> "TentParam":
@@ -90,22 +134,86 @@ def tent_eval(a, x) -> ExactNumber:
     return a * (1 - x)
 
 
-def _orbit(param: TentParam, x):
-    """Yield x, T(x), T(T(x)), ...; each point is checked before it is yielded.
+def _walk(param: TentParam, P: int, Q: int | None, D: int, r: int):
+    """Yield T(x), T(T(x)), ... for x = (P + Q*sqrt(r))/D in [0, 1], D > 0.
 
-    From HALF the walk reads param's critical-orbit memo and extends it
-    one point ahead of what it yields (computing T(x) checks x). Walks
-    over one memo may interleave, even from two threads: a walk writes
-    index k + 1 only from index k, and the slice assignment stores the
-    same value whichever walk gets there first, never a second copy.
+    Each point is a triple (P, Q, D) reduced by gcd(P, Q, D). With
+    Q = None the slope and x are rational and x is a critical point
+    P_k/(2*s^k): each point is then its numerator alone, over s times
+    the previous denominator, and nothing is reduced.
     """
-    points = param._critical if x == HALF else [x]
-    k = 0
+    p, q, s, _ = param._kernel
+    if Q is None:
+        while True:
+            P = p * P if 2 * P < D else p * (D - P)
+            D *= s
+            yield P
     while True:
-        if len(points) == k + 1:
-            points[k + 1:k + 2] = [tent_eval(param, points[k])]
-        yield points[k]
-        k += 1
+        if _sign(2 * P - D, 2 * Q, r) < 0:
+            P, Q = p * P + q * Q * r, p * Q + q * P
+        else:
+            E = D - P
+            P, Q = p * E - q * Q * r, q * E - p * Q
+        D *= s
+        g = gcd(P, Q, D)
+        if g != 1:
+            P, Q, D = P // g, Q // g, D // g
+        yield P, Q, D
+
+
+def _critical(param: TentParam, start: int, stop: int) -> list:
+    """Points start, ..., stop - 1 of param's critical orbit in integer
+    form, numerators or reduced triples; the memo is walked on first if
+    it is shorter. A surd memo is flat, P, Q, D after one another, so it
+    holds no tuple per point."""
+    memo = param._critical
+    _, q, s, r = param._kernel
+    width = 3 if q else 1
+    k = len(memo) // width
+    if k < stop:
+        # point k - 1 by its index: a racing reader may have walked on since
+        last = tuple(memo[3 * k - 3:3 * k]) if q else (memo[k - 1], None, 2 * s ** (k - 1))
+        steps = islice(_walk(param, *last, r), stop - k)
+        new = list(chain.from_iterable(steps) if q else steps)
+        # one assignment that runs no Python code, so a racing reader sees
+        # the memo before or after it; one that got further first finds
+        # its entries rewritten with equal values
+        memo[k * width:stop * width] = new
+    if q:
+        flat = memo[3 * start:3 * stop]
+        return list(zip(flat[0::3], flat[1::3], flat[2::3]))
+    return memo[start:stop]
+
+
+def _orbit(param: TentParam, x):
+    """Yield x, T(x), T(T(x)), ... as exact numbers built from the integer walk.
+
+    x is checked against [0, 1] once: T_a maps [0, 1] into [0, a/2] and
+    a <= 2, so every later point lies there too. From HALF the points
+    come from param's critical-orbit memo, which a reader walks one
+    point further whenever it reaches the end.
+    """
+    if x < 0 or x > 1:
+        raise InputError(f"point {format_exact(x)} outside [0, 1]")
+    _, q, s, r = param._kernel
+    if isinstance(x, Surd):
+        if r and x.r != r:
+            raise ExactnessError(f"cannot combine sqrt({r}) with sqrt({x.r}) exactly")
+        P, Q, D, r = x._p, x._q, x._s, x.r
+    else:
+        P, Q, D = x.numerator, 0, x.denominator
+    yield x
+    if x != HALF:
+        for P, Q, D in _walk(param, P, Q, D, r):
+            yield _reduced(P, Q, D, r)
+    else:
+        for k in count(1):
+            point = _critical(param, k, k + 1)[0]
+            if q:
+                yield _reduced(*point, r)
+            else:  # a numerator over 2*s^k
+                D *= s
+                yield Fraction(point, D)
 
 
 @dataclass(frozen=True)
@@ -154,8 +262,16 @@ def kneading_sequence(a, length: int) -> str:
     a = _slope(a)
     if length < 0:
         raise InputError(f"length must be >= 0, got {length}")
-    orbit = islice(_orbit(a, HALF), 1, length + 1)
-    return "".join("CRL"[exact_sign(x - HALF)] for x in orbit)  # sign -1 picks "L"
+    _, q, s, r = a._kernel
+    points = _critical(a, 1, length + 1)
+    if q:  # the sign of x - 1/2 for x = (P + Q*sqrt(r))/D
+        signs = [_sign(2 * P - D, 2 * Q, r) for P, Q, D in points]
+    else:  # the k-th point P/(2*s^k) is 1/2 at P = s^k
+        signs, half = [], 1
+        for P in points:
+            half *= s
+            signs.append((P > half) - (P < half))
+    return "".join("CRL"[sign] for sign in signs)  # sign -1 picks "L"
 
 
 @dataclass(frozen=True)
@@ -227,14 +343,64 @@ class CycleDetection:
     escape: tuple | None = None
 
 
-def _tent_image(a, lo, hi):
-    """Exact image interval of [lo, hi] under T_a."""
+def _tent_image(a: TentParam, lo, hi):
+    """Exact image interval of [lo, hi] under T_a, from T at the two ends
+    and, when [lo, hi] straddles 1/2, at 1/2 for the top."""
+    left, right = tent_eval(a, lo), tent_eval(a, hi)
     if hi <= HALF:
-        return a * lo, a * hi
+        return left, right
     if lo >= HALF:
-        return a * (1 - hi), a * (1 - lo)
-    left, right = a * lo, a * (1 - hi)
-    return (left if left <= right else right), a * HALF
+        return right, left
+    return (left if left <= right else right), tent_eval(a, HALF)
+
+
+def _window_keys(param: TentParam, transient: int, window: int):
+    """(den, keys) for the critical orbit's samples k = transient, ...,
+    end - 1, with end = transient + window: one denominator den and one
+    key per sample, in orbit order, that orders the samples exactly.
+
+    A rational slope's sample P_k/(2*s^k) goes over den = 2*s^(end-1)
+    as the key P_k*s^(end-1-k). A surd slope's samples are reduced
+    triples (P, Q, D); over den = lcm of their D (at most 2*s^(end-1),
+    and much less on a periodic orbit) each is (P' + Q'*sqrt(r))/den
+    with (P', Q') = (den // D)*(P, Q), and its key is K = (P' << b) +
+    Q'*root, with root = isqrt(r * 4^b) and b chosen so that
+    2^b > 8*M^2*r, M bounding every |P'| and |Q'|. K orders the samples
+    exactly: 2^b*sqrt(r) - root lies in [0, 1), so K is within |Q'| <= M
+    of 2^b*(P' + Q'*sqrt(r)). Two distinct samples differ by
+    d = (dP + dQ*sqrt(r))/den, whose norm dP^2 - dQ^2*r is a nonzero
+    integer (sqrt(r) is irrational), so |dP + dQ*sqrt(r)| >=
+    1/|dP - dQ*sqrt(r)| > 1/(4*M*sqrt(r)), and their keys differ in the
+    sign of d, by more than 2^b/(4*M*sqrt(r)) - 2*M > 0. Equal samples
+    have equal (P', Q') and equal keys.
+
+    param keeps the last window asked, so the levels of one tower share
+    one scaling as well as one walk.
+    """
+    cached = param._window  # read once: another thread may replace it
+    if cached[:2] == (transient, window):
+        return cached[2:]
+    end = transient + window
+    tail = _critical(param, transient, end)
+    _, q, s, r = param._kernel
+    if q:
+        den = lcm(*(D for _, _, D in tail))
+        scales = [den // D for _, _, D in tail]
+        # M < 2^L, as |P*m| < 2^(bits of P + bits of m)
+        L = max(max(P.bit_length(), Q.bit_length()) + m.bit_length()
+                for (P, Q, _), m in zip(tail, scales))
+        b = 2 * L + r.bit_length() + 3
+        root = isqrt(r << 2 * b)
+        keys = [(P * m << b) + Q * m * root for (P, Q, _), m in zip(tail, scales)]
+    else:
+        den = 2 * s ** (end - 1)
+        keys = [0] * window
+        m = 1  # s^(end-1-k) for sample k = transient + i
+        for i in range(window - 1, -1, -1):
+            keys[i] = tail[i] * m
+            m *= s
+    object.__setattr__(param, "_window", (transient, window, den, keys))
+    return den, keys
 
 
 def detect_interval_cycle(a, n: int, transient: int = 0, window: int = 64, margin=0) -> CycleDetection:
@@ -244,6 +410,10 @@ def detect_interval_cycle(a, n: int, transient: int = 0, window: int = 64, margi
     each group's hull (widened by the margin, clamped to [0, 1]). The
     certificate requires exact pairwise disjointness and exact image
     containment T(I_j) inside I_{j+1 mod n}.
+
+    The hulls are found as min and max over the plain integer keys of
+    _window_keys; only their 2n endpoints become exact numbers, and with
+    no margin only once the hulls are known to be disjoint.
     """
     a = _slope(a)
     margin = _coerce(margin)
@@ -253,27 +423,38 @@ def detect_interval_cycle(a, n: int, transient: int = 0, window: int = 64, margi
         raise InputError("need transient >= 0 and window >= 1")
     if margin < 0:
         raise InputError("margin must be >= 0")
-    groups: list[list[ExactNumber]] = [[] for _ in range(n)]
-    for k, x in enumerate(islice(_orbit(a, HALF), transient, transient + window), transient):
-        groups[k % n].append(x)
-    if any(not g for g in groups):
+    den, keys = _window_keys(a, transient, window)
+    if window < n:  # some residue class got no samples
         return CycleDetection(
             n=n, status="inconclusive", transient=transient, window=window, margin=margin
         )
-    bounds = [(min(g), max(g)) for g in groups]
+    # sample k sits at index k - transient, so class j starts at (j - transient) % n
+    bounds = [(min(g), max(g)) for g in (keys[(j - transient) % n::n] for j in range(n))]
     v = bounds[0][0]
     if all(lo == v and hi == v for lo, hi in bounds):
         return CycleDetection(
             n=n, status="degenerate", transient=transient, window=window, margin=margin
         )
-    hulls = []
-    for lo, hi in bounds:
-        lo, hi = lo - margin, hi + margin
-        if lo < 0:
-            lo = Fraction(0)
-        if hi > 1:
-            hi = Fraction(1)
-        hulls.append((lo, hi))
+    _, q, _, r = a._kernel
+
+    def exact(key):
+        if q:  # the memo holds each key's sample as a reduced triple
+            k = transient + keys.index(key)
+            return _reduced(*_critical(a, k, k + 1)[0], r)
+        return Fraction(key, den)
+
+    # without a margin the keys order the hulls as their exact ends do, so
+    # exact numbers are built only for hulls that pass the disjointness check
+    hulls = bounds
+    if margin:
+        hulls = []
+        for lo, hi in bounds:
+            lo, hi = exact(lo) - margin, exact(hi) + margin
+            if lo < 0:
+                lo = Fraction(0)
+            if hi > 1:
+                hi = Fraction(1)
+            hulls.append((lo, hi))
     order = sorted(range(n), key=lambda j: hulls[j][0])
     for prev, nxt in zip(order, order[1:]):
         if not hulls[prev][1] < hulls[nxt][0]:
@@ -281,8 +462,10 @@ def detect_interval_cycle(a, n: int, transient: int = 0, window: int = 64, margi
                 n=n, status="absent", transient=transient, window=window,
                 margin=margin, overlap=(prev, nxt),
             )
+    if not margin:
+        hulls = [(exact(lo), exact(hi)) for lo, hi in bounds]
     for j in range(n):
-        img = _tent_image(a.a, *hulls[j])
+        img = _tent_image(a, *hulls[j])
         target = hulls[(j + 1) % n]
         if img[0] < target[0] or img[1] > target[1]:
             return CycleDetection(

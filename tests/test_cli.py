@@ -1,9 +1,10 @@
+import time
 from textwrap import dedent
 
 import pytest
 
-from addingmachine import finite_ifs
-from addingmachine.cli import main
+from addingmachine import cli, finite_ifs
+from addingmachine.cli import SWEEP_MAX_STEPS, main
 
 Z6_TWO_TEXT = dedent("""\
     states: 0 1 2 3 4 5
@@ -481,6 +482,29 @@ def test_tent_sweep_single_level(capsys):
         """)
 
 
+def test_tent_sweep_refuses_too_many_slopes_at_once(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "tent", "sweep", "--from", "1", "--to", "2",
+                         "--step", "1/1000000000", "--primes", "2,2,2")
+    assert time.perf_counter() - t0 < 1
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: tent sweep spans more than {SWEEP_MAX_STEPS} steps; "
+                   "use a larger --step or a shorter range\n")
+
+
+def test_tent_sweep_cap_is_on_steps_past_the_start(capsys, monkeypatch):
+    # a range of exactly the cap's steps runs, with one more slope than steps
+    monkeypatch.setattr(cli, "SWEEP_MAX_STEPS", 4)
+    args = ("tent", "sweep", "--from", "1", "--step", "1/4", "--n", "1")
+    code, out, _ = run(capsys, *args, "--to", "2")
+    assert code == 0
+    assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["1", "5/4", "3/2", "7/4", "2"]
+    code, out, err = run(capsys, *args, "--to", "17/8")
+    assert (code, out) == (1, "")
+    assert "more than 4 steps" in err
+
+
 def test_tent_sweep_needs_n_or_primes_on_an_empty_range(capsys):
     code, out, err = run(capsys, "tent", "sweep", "--from", "2", "--to", "1", "--step", "1")
     assert code == 1
@@ -499,6 +523,17 @@ def test_tent_negative_surd_slope_names_the_range(capsys):
     assert code == 1
     assert out == ""
     assert "slope must lie in [0, 2]" in err
+
+
+def test_tent_golden_mean_as_written(capsys):
+    code, out, _ = run(capsys, "tent", "kneading", "--a", "(1+sqrt(5))/2", "--length", "5")
+    assert code == 0
+    assert out == dedent("""\
+        # tent kneading
+        # a = (1+1*sqrt(5))/2
+        # length = 5
+        RLCRL
+        """)
 
 
 def test_tent_zero_denominator_after_sqrt(capsys):

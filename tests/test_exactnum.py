@@ -130,6 +130,18 @@ def test_parse_single_sums_unchanged():
     assert format_exact(parse_exact("1+2*sqrt(2)/3")) == "(3+2*sqrt(2))/3"
 
 
+def test_parse_canonical_form_without_coefficient():
+    # the golden mean as usually written; the coefficient 1 is optional
+    golden = surd(Fraction(1, 2), Fraction(1, 2), 5)
+    assert parse_exact("(1+sqrt(5))/2") == parse_exact("(1+1*sqrt(5))/2") == golden
+    assert parse_exact("(1-sqrt(5))/2") == surd(Fraction(1, 2), Fraction(-1, 2), 5)
+    assert parse_exact("( -3 + sqrt(8) )/ 4") == surd(Fraction(-3, 4), Fraction(1, 2), 2)
+    assert format_exact(parse_exact("(1+sqrt(5))/2")) == "(1+1*sqrt(5))/2"
+    for text in ("(1+*sqrt(5))/2", "(1+sqrt(5))/0", "(sqrt(5))/2"):
+        with pytest.raises(InputError):
+            parse_exact(text)
+
+
 def test_parse_leading_minus_before_sqrt_term():
     assert parse_exact("-sqrt(2)") == -surd(0, 1, 2)
     assert parse_exact("-3*sqrt(2)/4") == surd(0, Fraction(-3, 4), 2)

@@ -1,3 +1,5 @@
+import sys
+import threading
 from fractions import Fraction
 from itertools import islice
 from math import isqrt
@@ -6,11 +8,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from addingmachine import interval_dynamics
-from addingmachine.errors import InputError
+from addingmachine.errors import ExactnessError, InputError
 from addingmachine.exactnum import Surd, format_exact, parse_exact, surd
 from addingmachine.interval_dynamics import (
     DISCLAIMER,
     HALF,
+    CycleDetection,
     TentParam,
     critical_orbit,
     detect_interval_cycle,
@@ -362,19 +365,21 @@ def plain_orbit(a, length):
     return points
 
 
-def count_tent_evals(call):
-    """Run call() and return how many times it evaluated the tent map."""
-    calls = []
-    original = interval_dynamics.tent_eval
+def count_walk_steps(call):
+    """Run call() and return how many steps the integer orbit walk took."""
+    steps = 0
+    original = interval_dynamics._walk
 
-    def counting(a, x):
-        calls.append(x)
-        return original(a, x)
+    def counting(*args):
+        nonlocal steps
+        for point in original(*args):
+            steps += 1
+            yield point
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(interval_dynamics, "tent_eval", counting)
+        mp.setattr(interval_dynamics, "_walk", counting)
         call()
-    return len(calls)
+    return steps
 
 
 tower_args = dict(
@@ -398,19 +403,54 @@ def test_tower_levels_match_fresh_detections(a, transient, window, primes, margi
 @settings(max_examples=40, deadline=None)
 @given(**tower_args)
 def test_tower_certificate_walks_the_orbit_once(a, transient, window, primes, margin):
-    # one walk for any number of levels, one point ahead of the last sample
+    # one walk for any number of levels, from 1/2 to the last sample
+    steps = transient + window - 1
     for depth in range(1, len(primes) + 1):
-        assert count_tent_evals(
+        assert count_walk_steps(
             lambda: tower_certificate(a, primes[:depth], transient, window, margin)
-        ) == transient + window
+        ) == steps
     # the memo lives with its TentParam: an equal slope value walks again,
     # the same TentParam does not
     param = TentParam(a)
-    for slope, evals in ((a, transient + window), (param, transient + window), (param, 0),
-                         (TentParam(a), transient + window)):
-        assert count_tent_evals(
+    for slope, walked in ((a, steps), (param, steps), (param, 0), (TentParam(a), steps)):
+        assert count_walk_steps(
             lambda: tower_certificate(slope, primes, transient, window, margin)
-        ) == evals
+        ) == walked
+
+
+def test_threads_sharing_one_param_read_one_orbit():
+    # the memo and the kept window keys are filled without a lock; readers
+    # racing on one fresh TentParam, each with its own window, must each get
+    # what a TentParam of their own gives
+    a = parse_exact("(12-2*sqrt(5))/7")
+    jobs = [(0, 64), (8, 16), (3, 40), (1, 70), (5, 24), (2, 56)]
+    expected = {job: tower_certificate(a, (2, 2), *job) for job in jobs}
+    orbit = critical_orbit(a, 80)
+    mismatches = []
+
+    def read(param, job, start):
+        start.wait(timeout=10)
+        for _ in range(3):
+            if tower_certificate(param, (2, 2), *job) != expected[job]:
+                mismatches.append(job)
+            if critical_orbit(param, sum(job)) != critical_orbit(a, sum(job)):
+                mismatches.append(("orbit", job))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            param, start = TentParam(a), threading.Barrier(len(jobs))
+            threads = [threading.Thread(target=read, args=(param, job, start)) for job in jobs]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert critical_orbit(param, 80) == orbit
+    finally:
+        sys.setswitchinterval(interval)
+    assert mismatches == []
 
 
 CONSUMERS = ("critical_orbit", "kneading_sequence", "detect_interval_cycle", "zip")
@@ -485,3 +525,98 @@ def test_degenerate_exactly_when_one_distinct_sample(a, transient, window, n, ma
         assert det.status == "inconclusive"
     else:
         assert (det.status == "degenerate") == (len(set(samples)) == 1)
+
+
+@settings(max_examples=60, deadline=None)
+@example(a=PHI, transient=0, window=12)  # a periodic surd orbit through 1/2
+@given(
+    a=st.one_of(slopes(), st.sampled_from([Fraction(0), Fraction(2), SQRT2, PHI])),
+    transient=st.integers(min_value=0, max_value=8),
+    window=st.integers(min_value=1, max_value=40),
+)
+def test_window_keys_order_the_samples_exactly(a, transient, window):
+    samples = plain_orbit(a, transient + window)[transient:transient + window]
+    param = TentParam(a)
+    den, keys = interval_dynamics._window_keys(param, transient, window)
+    if not isinstance(param.a, Surd):  # a rational sample's key is its numerator over den
+        assert [x * den for x in samples] == keys
+    for key, x in zip(keys, samples):
+        assert [key < other for other in keys] == [x < y for y in samples]
+        assert [key == other for other in keys] == [x == y for y in samples]
+
+
+@settings(max_examples=60, deadline=None)
+@example(a=Fraction(3, 2), y=SQRT2 - 1, transient=3, window=6)  # a rational slope, a surd point
+@example(a=SQRT2, y=Fraction(1, 3), transient=0, window=8)
+@given(
+    a=st.one_of(slopes(), st.sampled_from([Fraction(0), Fraction(2), SQRT2])),
+    y=st.one_of(st.fractions(min_value=0, max_value=1, max_denominator=50),
+                st.sampled_from([SQRT2 - 1, 2 - SQRT2, SQRT2 / 2])),
+    transient=st.integers(min_value=0, max_value=8),
+    window=st.integers(min_value=1, max_value=20),
+)
+def test_omega_samples_from_any_point_follow_tent_eval(a, y, transient, window):
+    if isinstance(a, Surd) and isinstance(y, Surd) and a.r != y.r:
+        with pytest.raises(ExactnessError):
+            omega_limit_estimate(a, y, transient, window)
+        return
+    points = [y]
+    for _ in range(transient + window - 1):
+        points.append(tent_eval(a, points[-1]))
+    assert omega_limit_estimate(a, y, transient, window).samples == tuple(points[transient:])
+
+
+def test_omega_estimate_rejects_a_start_outside_the_unit_interval():
+    with pytest.raises(InputError, match=r"point 3/2 outside \[0, 1\]"):
+        omega_limit_estimate(Fraction(3, 2), Fraction(3, 2), 0, 4)
+
+
+# -- differential check against the exact-number detector ------------------------------
+
+
+def reference_detection(a, n, transient, window, margin):
+    """detect_interval_cycle on exact numbers: hulls from min and max over
+    the plain tent_eval orbit, and images from a*x and a*(1 - x)."""
+    a = TentParam(a).a
+    tail = plain_orbit(a, transient + window)[transient:transient + window]
+    groups = [[x for k, x in enumerate(tail, transient) if k % n == j] for j in range(n)]
+    same = dict(n=n, transient=transient, window=window, margin=margin)
+    if any(not g for g in groups):
+        return CycleDetection(status="inconclusive", **same)
+    bounds = [(min(g), max(g)) for g in groups]
+    v = bounds[0][0]
+    if all(lo == v and hi == v for lo, hi in bounds):
+        return CycleDetection(status="degenerate", **same)
+    hulls = [(max(lo - margin, Fraction(0)), min(hi + margin, Fraction(1))) for lo, hi in bounds]
+    order = sorted(range(n), key=lambda j: hulls[j][0])
+    for prev, nxt in zip(order, order[1:]):
+        if not hulls[prev][1] < hulls[nxt][0]:
+            return CycleDetection(status="absent", overlap=(prev, nxt), **same)
+    for j, (lo, hi) in enumerate(hulls):
+        if hi <= HALF:
+            img = (a * lo, a * hi)
+        elif lo >= HALF:
+            img = (a * (1 - hi), a * (1 - lo))
+        else:
+            img = (min(a * lo, a * (1 - hi)), a * HALF)
+        target = hulls[(j + 1) % n]
+        if img[0] < target[0] or img[1] > target[1]:
+            return CycleDetection(status="absent", escape=(j, img, target), **same)
+    return CycleDetection(status="certified", intervals=tuple(hulls), **same)
+
+
+@settings(max_examples=300, deadline=None)
+@example(a=PHI, n=3, transient=0, window=9, margin=Fraction(0))  # 1/2 recurs in every class 0
+@example(a=SQRT2, n=1, transient=0, window=1, margin=Fraction(0))  # one rational sample
+@example(a=Fraction(11, 10), n=4, transient=1, window=12, margin=Fraction(1, 7))
+@given(
+    a=st.one_of(slopes(), st.sampled_from([Fraction(0), Fraction(1), Fraction(2), SQRT2, PHI])),
+    n=st.integers(min_value=1, max_value=9),
+    transient=st.integers(min_value=0, max_value=8),
+    window=st.integers(min_value=1, max_value=64),
+    margin=st.sampled_from([Fraction(0), Fraction(1, 1000), Fraction(1, 7)]),
+)
+def test_detection_matches_the_exact_number_reference(a, n, transient, window, margin):
+    assert detect_interval_cycle(a, n, transient, window, margin) == reference_detection(
+        a, n, transient, window, margin
+    )
