@@ -46,6 +46,7 @@ from .finite_ifs import (
     power_system,
     regularly_recurrent_points,
     rotation_system,
+    spectrum,
     tables_of_length,
 )
 from .ifs_io import format_ifs, load_ifs, parse_ifs
@@ -90,7 +91,8 @@ __all__ = [
     "FiniteIFS", "MinimalSetReport", "NMSet", "canonical_cover", "compose",
     "has_shadowing", "image_of_set", "is_minimal", "is_sensitive",
     "minimal_sets", "nm_set", "periodic_points", "power_system",
-    "regularly_recurrent_points", "rotation_system", "tables_of_length",
+    "regularly_recurrent_points", "rotation_system", "spectrum",
+    "tables_of_length",
     "format_ifs", "load_ifs", "parse_ifs",
     "AlphaReport", "ColoringObstruction", "CyclicTower", "EquivarianceReport",
     "FactorMap", "ModNColoring", "build_factor_map", "extend_tower",

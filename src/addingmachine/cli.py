@@ -123,7 +123,7 @@ def _cmd_ifs(args) -> int:
             _emit("\n".join(lines) + "\n", args.output)
             return 0
         lines.append("minimal: yes")
-        spectrum = finite_ifs.nm_set(F, bound)
+        spectrum = finite_ifs.spectrum(F, bound)
         lines.append(f"spectrum: {' '.join(map(str, spectrum.members))}")
         for n in spectrum.members:
             try:

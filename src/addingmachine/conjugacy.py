@@ -19,6 +19,18 @@ induction on l gives c(y) = l(y) mod n. Hence the coloring is unique
 and it exists iff n divides l(x) + 1 - l(y) on every edge, that is iff
 n divides d. The differences sum to the length of any closed walk, so
 d divides every cycle length and is at most the number of states |X|.
+The search, its order, l and d are all in the system's summary
+(finite_ifs._summary), built once per system.
+
+When n does not divide d, the obstruction reported is the first edge
+x -> y, in the search's scan order (states in the order found, labels
+in order at each), whose difference l(x) + 1 - l(y) is not a multiple
+of n. That is the edge a search that colors states as it finds them
+stops at: it colors y with l(y) mod n on the edge that finds y, whose
+difference is 0, so it never stops there, and it tests every other
+edge x -> y against colors already final, l(x) and l(y) mod n. It
+stops at the first edge that fails, and its queue up to x is the full
+search's order, so the two agree on the witness.
 
 A tower level of size m is a coloring mod m up to a shift, so m
 divides d. Each map carries its block j onto block j + 1, so block
@@ -37,6 +49,7 @@ from ._intmath import factorize
 from .errors import InputError, InternalConsistencyError
 from .finite_ifs import (
     FiniteIFS,
+    _summary,
     is_minimal,
     nm_set,
     regularly_recurrent_points,
@@ -81,28 +94,26 @@ def find_mod_n_coloring(F: FiniteIFS, n: int):
     """The unique mod-n coloring with state 0 colored 0, or an obstruction.
 
     Requires n >= 2 and a minimal system. The coloring is the BFS level
-    l mod n (see the module docstring). The search stops at the first
-    edge x -> y in scan order that breaks it and returns it as the
-    obstruction, with expected = (l(x) + 1) mod n and found = l(y) mod n.
+    l mod n, and it exists iff n divides the period d (see the module
+    docstring). Otherwise the obstruction is the first edge x -> y in
+    scan order that breaks it, with expected = (l(x) + 1) mod n and
+    found = l(y) mod n.
     """
     if n < 2:
         raise InputError(f"coloring modulus must be >= 2, got {n}")
-    if not is_minimal(F):
+    summary = _summary(F)
+    if not summary.minimal:
         raise InputError("mod-n colorings are defined for minimal systems only")
-    levels: list[int | None] = [None] * F.n_states
-    levels[0] = 0
-    queue = [0]
-    for x in queue:
-        for label in F.labels:
-            y = F.table(label)[x]
-            if levels[y] is None:
-                levels[y] = levels[x] + 1
-                queue.append(y)
-            elif (levels[x] + 1 - levels[y]) % n:
-                return ColoringObstruction(
-                    n=n, state=x, label=label, successor=y,
-                    expected=(levels[x] + 1) % n, found=levels[y] % n,
-                )
+    levels = summary.levels
+    if summary.period % n:  # d is the gcd of the differences, so one fails
+        for x in summary.order:
+            for label in F.labels:
+                y = F.table(label)[x]
+                if (levels[x] + 1 - levels[y]) % n:
+                    return ColoringObstruction(
+                        n=n, state=x, label=label, successor=y,
+                        expected=(levels[x] + 1) % n, found=levels[y] % n,
+                    )
     return ModNColoring(n=n, colors=tuple(level % n for level in levels))
 
 
@@ -207,12 +218,17 @@ def extend_tower(F: FiniteIFS, tower: CyclicTower):
     coloring mod p * m, if there is one, rotated so their indices
     reduce to the tower's block indices, which keeps the chain nested.
     An extension is kept when every map carries each fiber onto (not
-    just into) the next.
+    just into) the next. A bijection always does: it carries each fiber
+    into the next, and the images of the fibers are disjoint and cover
+    X, so each image is all of the next fiber. So only systems with a
+    map that is not a bijection test it here; the new CyclicTower
+    checks it again either way.
     """
     if tower.system != F:
         raise InputError("tower belongs to a different system")
     if not is_minimal(F):
         raise InputError("towers are defined for minimal systems only")
+    bijective = _summary(F).bijective
     m = tower.top_size
     shift = tower.block_index(tower.depth, 0) if tower.depth else 0
     out = []
@@ -223,7 +239,7 @@ def extend_tower(F: FiniteIFS, tower: CyclicTower):
             continue
         fibers = coloring.fibers()
         blocks = tuple(fibers[(j - shift) % size] for j in range(size))
-        if _first_not_onto(F, blocks) is None:
+        if bijective or _first_not_onto(F, blocks) is None:
             out.append((p, CyclicTower(
                 system=F, primes=tower.primes + (p,), levels=tower.levels + (blocks,)
             )))
@@ -305,9 +321,9 @@ def build_factor_map(F: FiniteIFS, tower: CyclicTower) -> FactorMap:
     # index determine every level's index
     index_at = {x: j for j, block in enumerate(tower.levels[-1]) for x in block}
     residues = tuple(index_at[x] for x in range(n))
-    digits = tuple(
-        from_residue(base, tower.depth, r).digits for r in residues
-    )
+    # one digit vector per top block, shared by the states in it
+    vectors = [from_residue(base, tower.depth, r).digits for r in range(tower.top_size)]
+    digits = tuple(vectors[r] for r in residues)
     return FactorMap(primes=tuple(tower.primes), digits=digits, residues=residues)
 
 

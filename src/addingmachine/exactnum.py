@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Union
 
-from ._intmath import factorize
+from ._intmath import decimal_str, factorize
 from .errors import ExactnessError, InputError
 
 ExactNumber = Union[Fraction, "Surd"]
@@ -353,6 +353,7 @@ def format_exact(x: ExactNumber) -> str:
     if isinstance(x, Surd):
         q = x._q
         sign = "+" if q >= 0 else "-"
-        return f"({x._p}{sign}{abs(q)}*sqrt({x.r}))/{x._s}"
+        return f"({decimal_str(x._p)}{sign}{decimal_str(abs(q))}*sqrt({x.r}))/{decimal_str(x._s)}"
     f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    numerator = decimal_str(f.numerator)
+    return numerator if f.denominator == 1 else f"{numerator}/{decimal_str(f.denominator)}"

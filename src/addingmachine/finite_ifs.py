@@ -48,6 +48,51 @@ is all of X, step (1) keeps every state, and step (2) drops none. The
 minimal sets of length L are then the forward closures under R_L, a
 function of R_L alone, and nm_set walks R_L without building a table.
 Non-bijective systems keep the table walk, which step (1) needs.
+
+One summary per system. _summary(F) runs the two searches of is_minimal
+once and keeps what they show: whether the system is minimal; the
+breadth-first order of the states from state 0, maps scanned in label
+order, and the level l(x) at which each state is found; the period d,
+the gcd of l(x) + 1 - l(y) over all edges x -> y; whether every map is
+a bijection; and whether all maps share one table. It is built at most
+once per system and cached on it. On a minimal system l mod d is a
+coloring (see the conjugacy docstring): every edge x -> y has
+l(y) = l(x) + 1 mod d, so a word of length L moves l by L mod d. Every
+residue mod d is some l(x), as walks of every length leave state 0.
+
+On a minimal system of bijections, with N states, two closed forms
+follow from l and d; nm_set keeps its walk all the same, because
+tower_to_alpha checks the tower, which is built from l and d, against
+it, and a check of l and d against themselves would prove nothing.
+
+(a) The spectrum, the members of nm_set(F, b), is the divisors of d
+that are at most b. The minimal sets of length L are the classes of
+the graph G_L with an edge x -> y for each y in R_L[x] (see above), and
+they are the fibers of l mod g, g = gcd(L, d). An edge of G_L moves l
+by L, which g divides, so no class leaves a fiber. Conversely, take x
+and y in one fiber. The multiples of L mod d are the multiples of g, so
+l(y) - l(x) = jL mod d for some j >= 1, and j can be raised by any
+multiple of d/g. A strongly connected graph of period d has walks of
+every long enough length t = l(y) - l(x) mod d from x to y
+(Brualdi-Ryser, Combinatorial Matrix Theory, section 3.4), so for large
+j some word of length jL, that is j words of length L, sends x to y:
+the fiber is one class. For g < g' dividing d, each fiber mod g is the
+union of g'/g nonempty fibers mod g', so lengths with different g share
+no minimal set. If L divides d, every shorter L' has gcd(L', d) <= L'
+< L = g, so the fibers mod L are new and L is a member. If not,
+g = gcd(L, d) < L has already shown the same fibers, and L is not.
+
+(c) regularly_recurrent_points(F, h) is X when all maps share one table
+and h >= N, and empty otherwise. Suppose every length-L word fixes x.
+Split such a word into a first map a and a word w of length L - 1
+(possibly empty, the identity). Then w(a(x)) = x for every a, and w is
+a bijection, so all maps send x to one state x1, and every word of
+length L - 1 sends x1 to x. A length-L word is such a word followed by a
+last map b, so it sends x1 to b(x) = x1: x1 is fixed too. The states
+that all length-L words fix are thus carried into themselves by every
+map, so by minimality they are all of X, and all maps agree everywhere.
+If they share one table T, minimality makes T one N-cycle, and T^L
+fixes a state exactly when N divides L.
 """
 
 from __future__ import annotations
@@ -56,6 +101,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import InputError, NoCanonicalCoverError
@@ -72,12 +118,12 @@ class FiniteIFS:
     metric axioms (checked, including separation and the triangle
     inequality); omitted means the discrete metric.
 
-    _minimal caches the is_minimal verdict once it is asked for; the
+    _summary caches the system's _Summary once it is asked for; the
     system is immutable, and the cache takes no part in equality,
     hashing or repr.
     """
 
-    __slots__ = ("n_states", "labels", "_tables", "_by_label", "metric", "_minimal")
+    __slots__ = ("n_states", "labels", "_tables", "_by_label", "metric", "_summary")
 
     def __init__(self, tables, metric=None):
         if isinstance(tables, Mapping):
@@ -113,7 +159,7 @@ class FiniteIFS:
         self._tables = tuple(rows)
         self._by_label = dict(zip(labels, rows))
         self.metric = _validate_metric(metric, n) if metric is not None else None
-        self._minimal = None
+        self._summary = None
 
     # -- basic access ----------------------------------------------------
 
@@ -284,20 +330,28 @@ def minimal_sets(F: FiniteIFS, n: int) -> MinimalSetReport:
 
 
 def _minimal_blocks(F: FiniteIFS, tables: Collection[Table]) -> frozenset[int]:
-    """Steps (1)-(3) on one layer of tables: its minimal sets as bitmasks."""
-    good = set(F.states)
-    for t in tables:
-        image = set(t)
-        while True:
-            shrunk = {t[x] for x in image}
-            if len(shrunk) == len(image):
-                break
-            image = shrunk
-        good &= image
-        if not good:
-            return frozenset()
+    """Steps (1)-(3) on one layer of tables: its minimal sets as bitmasks.
+
+    A system of bijections skips steps (1) and (2), which keep every
+    state there (see the module docstring).
+    """
+    bijective = _summary(F).bijective
+    if not bijective:
+        good = set(F.states)
+        for t in tables:
+            image = set(t)
+            while True:
+                shrunk = {t[x] for x in image}
+                if len(shrunk) == len(image):
+                    break
+                image = shrunk
+            good &= image
+            if not good:
+                return frozenset()
     # R of this length, read off the x-columns of the layer
     reach = tuple(sum(1 << y for y in set(column)) for column in zip(*tables))
+    if bijective:
+        return _closures(reach, (1 << F.n_states) - 1)
     return _closures(reach, _prune(reach, sum(1 << x for x in good)))
 
 
@@ -358,38 +412,79 @@ def _images(F: FiniteIFS) -> list[tuple[int, ...]]:
     return list(zip(*F._tables))
 
 
-def _reached(successors: Sequence[Iterable[int]], x: int) -> set[int]:
-    """States reached from x by one or more steps along successors."""
-    seen: set[int] = set()
-    queue = deque(successors[x])
-    while queue:
-        y = queue.popleft()
-        if y in seen:
-            continue
-        seen.add(y)
-        queue.extend(successors[y])
-    return seen
+def _reached(successors: Sequence[Sequence[int]], starts: Iterable[int]) -> dict[int, int]:
+    """States reached from starts in zero or more steps along successors.
 
-
-def is_minimal(F: FiniteIFS) -> bool:
-    """Whether every state's forward orbit under the system is all of X.
-
-    That is strong connectivity of the union graph. If every state
-    reaches state 0 and state 0 reaches every state (itself included)
-    in one or more steps, then any x reaches any y, itself included, by
-    going through 0; the converse is immediate. So one forward and one
-    reverse search from state 0 decide it, in place of a search from
-    every state.
+    Each maps to its breadth-first level, 0 for the starts; the dict
+    lists them in the order the search finds them, scanning each state's
+    successors in order.
     """
-    if F._minimal is None:
+    levels = dict.fromkeys(starts, 0)
+    queue = list(levels)
+    for x in queue:
+        level = levels[x] + 1
+        for y in successors[x]:
+            if y not in levels:
+                levels[y] = level
+                queue.append(y)
+    return levels
+
+
+@dataclass(frozen=True)
+class _Summary:
+    """What one system's two searches from state 0 show (module docstring).
+
+    order lists the states the forward search finds, in the order it
+    finds them, and levels[x] is the level of x there (None when it is
+    not found). period is d, or 0 when the system is not minimal.
+    """
+
+    minimal: bool
+    order: tuple[int, ...]
+    levels: tuple[int | None, ...]
+    period: int
+    bijective: bool
+    one_table: bool
+
+
+def _summary(F: FiniteIFS) -> _Summary:
+    """F's summary, built on the first call and cached on F."""
+    if F._summary is None:
         images = _images(F)
         preimages: list[list[int]] = [[] for _ in images]
         for x, ys in enumerate(images):
             for y in ys:
                 preimages[y].append(x)
         n = F.n_states
-        F._minimal = len(_reached(images, 0)) == n and len(_reached(preimages, 0)) == n
-    return F._minimal
+        found = _reached(images, (0,))
+        minimal = len(found) == n and len(_reached(preimages, (0,))) == n
+        period = 0
+        if minimal:
+            # a list, not a generator: unpacking a generator into the call
+            # left the process about 1 MiB larger after a few hundred systems
+            period = gcd(*[found[x] + 1 - found[y] for x, ys in enumerate(images) for y in ys])
+        F._summary = _Summary(
+            minimal=minimal,
+            order=tuple(found),
+            levels=tuple(found.get(x) for x in F.states),
+            period=period,
+            bijective=all(len(set(t)) == n for t in F._tables),
+            one_table=len(set(F._tables)) == 1,
+        )
+    return F._summary
+
+
+def is_minimal(F: FiniteIFS) -> bool:
+    """Whether every state's forward orbit under the system is all of X.
+
+    That is strong connectivity of the union graph. If every state
+    reaches state 0 and state 0 reaches every state, then any x reaches
+    any y by going through 0, and x reaches itself in one or more steps
+    through any of its images; the converse is immediate. So one forward
+    and one reverse search from state 0 decide it, in place of a search
+    from every state. The verdict is part of the system's summary.
+    """
+    return _summary(F).minimal
 
 
 @dataclass(frozen=True)
@@ -428,7 +523,7 @@ def nm_set(F: FiniteIFS, bound: int) -> NMSet:
         raise InputError(f"bound must be >= 1, got {bound}")
     if not is_minimal(F):
         raise InputError("system is not minimal; its power structure is undefined here")
-    bijective = all(len(set(t)) == F.n_states for t in F._tables)
+    bijective = _summary(F).bijective
     walk = _reach_walk(F, bound) if bijective else _word_layers(F, bound)
     everything = (1 << F.n_states) - 1
     members = []
@@ -448,14 +543,32 @@ def nm_set(F: FiniteIFS, bound: int) -> NMSet:
     return NMSet(bound=bound, members=tuple(members))
 
 
+def spectrum(F: FiniteIFS, bound: int) -> NMSet:
+    """The members of nm_set(F, bound), in closed form where there is one.
+
+    On a minimal system of bijections they are the divisors of the
+    period d up to the bound (closed form (a) of the module docstring),
+    found without a walk; other systems run nm_set.
+    """
+    summary = _summary(F)
+    if not (summary.minimal and summary.bijective):
+        return nm_set(F, bound)
+    if bound < 1:
+        raise InputError(f"bound must be >= 1, got {bound}")
+    d = summary.period
+    members = tuple(k for k in range(1, min(d, bound) + 1) if d % k == 0)
+    return NMSet(bound=bound, members=members)
+
+
 def canonical_cover(F: FiniteIFS, n: int) -> MinimalSetReport:
     """The n minimal sets of the n-th power, when they partition X.
 
-    Requires n to be a member of nm_set(F, n); raises
-    NoCanonicalCoverError when the minimal sets fail to form an n-block
-    partition (possible for non-bijective systems).
+    Requires n to be a member of the spectrum up to n (on a system of
+    bijections, a divisor of the period); raises NoCanonicalCoverError
+    when the minimal sets fail to form an n-block partition (possible
+    for non-bijective systems).
     """
-    if n not in nm_set(F, n):
+    if n not in spectrum(F, n):
         raise InputError(f"{n} is not a power at which a new minimal set appears")
     report = minimal_sets(F, n)
     covered = [x for block in report.sets for x in block]
@@ -487,11 +600,18 @@ def regularly_recurrent_points(F: FiniteIFS, horizon: int | None = None) -> froz
     stops at the horizon, or once every state is found or settled; it
     never waits for the whole vector R_n to repeat, which can take the
     lcm of the states' periods.
+
+    A minimal system of bijections needs no walk: closed form (c) of the
+    module docstring gives the answer from its summary.
     """
     if horizon is None:
         horizon = F.n_states * F.n_states
     if horizon < 1:
         raise InputError(f"horizon must be >= 1, got {horizon}")
+    summary = _summary(F)
+    if summary.minimal and summary.bijective:
+        whole = summary.one_table and horizon >= F.n_states
+        return frozenset(F.states) if whole else frozenset()
     found: set[int] = set()
     pending: dict[int, set[int]] = {x: set() for x in F.states}
     for reach in _reach_walk(F, horizon):
@@ -510,7 +630,7 @@ def regularly_recurrent_points(F: FiniteIFS, horizon: int | None = None) -> froz
 def periodic_points(F: FiniteIFS) -> frozenset[int]:
     """States lying on a directed cycle of the union graph of all maps."""
     images = _images(F)
-    return frozenset(x for x in F.states if x in _reached(images, x))
+    return frozenset(x for x in F.states if x in _reached(images, images[x]))
 
 
 # -- metric dynamics on a single map ---------------------------------------

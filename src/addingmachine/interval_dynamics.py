@@ -26,6 +26,19 @@ p). So every P_k is coprime to s, the only prime P_k and 2*s^k can share
 is 2, and they share 4 only if s is even, which makes P_k odd. Hence
 gcd(P_k, 2*s^k) is 1 or 2, and a gcd per step would buy at most one bit.
 
+Any other rational orbit of a rational slope is walked in reduced
+pairs (P, D) and reduced with two short gcds. If gcd(P, D) = 1, the
+step to p*P/(s*D) has gcd(p*P, s*D) = gcd(p, D)*gcd(P, s). Proof, one
+prime l at a time, with v the power of l in a number: l divides at most
+one of p and s, as gcd(p, s) = 1, and at most one of P and D. If it
+divides neither p nor P, or neither s nor D, both sides have no l. If
+l divides p, it does not divide s, so it divides D and not P, and both
+sides hold min(v(p), v(D)) factors l; if l divides P, then likewise
+min(v(P), v(s)). The step x >= 1/2 replaces P by E = D - P, and
+gcd(E, D) = gcd(P, D) = 1, so the same formula holds with E for P. Each
+gcd has the short p or s as an argument, so it costs time linear in the
+bits of the other.
+
 A surd walk reduces each step with one gcd(P, Q, D), which keeps its
 triples canonical (equal values, equal triples) and short: without it a
 periodic orbit would carry a common factor that grows with every step.
@@ -36,12 +49,12 @@ Each TentParam keeps the walked prefix of its critical orbit (the orbit
 of 1/2) in integer form, in one flat list: numerators for a rational
 slope, whose denominators 2*s^k follow from the index, and P, Q, D of
 each reduced triple in turn for a surd slope, with no tuple per point.
-_critical walks it on and hands out its points: _orbit turns them into
-the exact points that critical_orbit and omega_limit_estimate use, and
-kneading_sequence and detect_interval_cycle read the integers directly.
-So the levels of one tower_certificate, or any other consumers handed
-the same TentParam, share one walk. Readers may interleave, even from
-two threads: an extension only stores entries that follow from the
+_critical walks it on and hands out its points: kneading_sequence and
+detect_interval_cycle read the integers directly, and _orbit builds
+from them the exact numbers that critical_orbit and omega_limit_estimate
+use. So the levels of one tower_certificate, or any other consumers
+handed the same TentParam, share one walk. Readers may interleave, even
+from two threads: an extension only stores entries that follow from the
 last one, and the memo never shrinks, so a racing extension rewrites
 equal values. The memo lives exactly as long as its
 TentParam: public functions given a raw slope build a fresh TentParam,
@@ -50,7 +63,18 @@ is cached across calls (no module-level table, no lru_cache), because a
 process-wide cache would grow with every slope ever seen and would only
 pay off for repeated identical calls, which a CLI run never makes.
 Orbits of other points (omega_limit_estimate from y != 1/2) run the
-same walk, in reduced triples and without a memo.
+same walk without a memo, in reduced pairs or triples.
+
+_orbit builds no exact number for a point before the first one it hands
+out, so omega_limit_estimate builds none for a point of its transient.
+From there a rational orbit of a rational slope a = p/s steps Fractions
+from one another, a*x or a*(1 - x): Fraction arithmetic
+reduces a product by gcd(p, D) and gcd(N, s) for x = N/D, gcds against
+the short p and s, and 1 - x needs none, so each point costs time
+linear in its bits. A Fraction built from the walk would run a full gcd
+of two long integers, quadratic in their bits, though on the critical
+orbit the gcd is known to be 1 or 2. A surd orbit builds every point
+from its walk's reduced triple.
 
 The renormalization detector looks for n closed intervals, one per
 residue class of the iteration index, that are pairwise disjoint and
@@ -140,7 +164,9 @@ def _walk(param: TentParam, P: int, Q: int | None, D: int, r: int):
     Each point is a triple (P, Q, D) reduced by gcd(P, Q, D). With
     Q = None the slope and x are rational and x is a critical point
     P_k/(2*s^k): each point is then its numerator alone, over s times
-    the previous denominator, and nothing is reduced.
+    the previous denominator, and nothing is reduced. With Q = 0 and a
+    rational slope, P/D must be in lowest terms, and each step reduces
+    by gcd(p, D)*gcd(P, s) (see the module docstring).
     """
     p, q, s, _ = param._kernel
     if Q is None:
@@ -148,6 +174,13 @@ def _walk(param: TentParam, P: int, Q: int | None, D: int, r: int):
             P = p * P if 2 * P < D else p * (D - P)
             D *= s
             yield P
+    if not q and not Q:
+        while True:
+            if 2 * P >= D:
+                P = D - P
+            g = gcd(p, D) * gcd(P, s)
+            P, D = p * P // g, s * D // g
+            yield P, 0, D
     while True:
         if _sign(2 * P - D, 2 * Q, r) < 0:
             P, Q = p * P + q * Q * r, p * Q + q * P
@@ -185,13 +218,17 @@ def _critical(param: TentParam, start: int, stop: int) -> list:
     return memo[start:stop]
 
 
-def _orbit(param: TentParam, x):
-    """Yield x, T(x), T(T(x)), ... as exact numbers built from the integer walk.
+def _orbit(param: TentParam, x, start: int = 0):
+    """Yield points start, start + 1, ... of the orbit x, T(x), T(T(x)), ...
+    as exact numbers.
 
     x is checked against [0, 1] once: T_a maps [0, 1] into [0, a/2] and
-    a <= 2, so every later point lies there too. From HALF the points
-    come from param's critical-orbit memo, which a reader walks one
-    point further whenever it reaches the end.
+    a <= 2, so every later point lies there too. Points before start
+    are walked in integers only. A rational orbit of a rational slope
+    then steps Fractions from point start on (see the module docstring);
+    a surd orbit builds each point from the integer walk, from HALF out
+    of param's critical-orbit memo, which a reader walks one point
+    further whenever it reaches the end.
     """
     if x < 0 or x > 1:
         raise InputError(f"point {format_exact(x)} outside [0, 1]")
@@ -202,18 +239,24 @@ def _orbit(param: TentParam, x):
         P, Q, D, r = x._p, x._q, x._s, x.r
     else:
         P, Q, D = x.numerator, 0, x.denominator
-    yield x
+    if not q and not Q:
+        if start and x == HALF:  # a numerator over 2*s^start
+            x = Fraction(_critical(param, start, start + 1)[0], 2 * s ** start)
+        elif start:
+            P, _, D = next(islice(_walk(param, P, 0, D, r), start - 1, None))
+            x = Fraction(P, D)
+        a = param.a
+        while True:
+            yield x
+            x = a * x if x < HALF else a * (1 - x)
+    if not start:
+        yield x
     if x != HALF:
-        for P, Q, D in _walk(param, P, Q, D, r):
+        for P, Q, D in islice(_walk(param, P, Q, D, r), max(start - 1, 0), None):
             yield _reduced(P, Q, D, r)
     else:
-        for k in count(1):
-            point = _critical(param, k, k + 1)[0]
-            if q:
-                yield _reduced(*point, r)
-            else:  # a numerator over 2*s^k
-                D *= s
-                yield Fraction(point, D)
+        for k in count(max(start, 1)):
+            yield _reduced(*_critical(param, k, k + 1)[0], r)
 
 
 @dataclass(frozen=True)
@@ -299,7 +342,7 @@ def omega_limit_estimate(a, y, transient: int, window: int, resolution=0) -> Ome
         raise InputError("need transient >= 0 and window >= 1")
     if resolution < 0:
         raise InputError("resolution must be >= 0")
-    samples = tuple(islice(_orbit(a, y), transient, transient + window))
+    samples = tuple(islice(_orbit(a, y, transient), window))
     ordered = sorted(set(samples))
     intervals = []
     lo = hi = ordered[0]

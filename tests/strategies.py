@@ -16,3 +16,20 @@ def small_systems(draw):
         else:
             tables[label] = tuple(draw(st.integers(0, n - 1)) for _ in range(n))
     return FiniteIFS(tables)
+
+
+@st.composite
+def permutation_systems(draw):
+    """1-3 permutations of at most 7 states; a third are relabelled rotations."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    labels = "abc"[: draw(st.integers(min_value=1, max_value=3))]
+    if draw(st.integers(min_value=0, max_value=2)):
+        return FiniteIFS({l: tuple(draw(st.permutations(range(n)))) for l in labels})
+    name = draw(st.permutations(range(n)))
+    tables = {}
+    for label in labels:
+        shift, table = draw(st.integers(0, n - 1)), [0] * n
+        for x in range(n):
+            table[name[x]] = name[(x + shift) % n]
+        tables[label] = tuple(table)
+    return FiniteIFS(tables)

@@ -1,10 +1,13 @@
 import time
+from decimal import Decimal
+from fractions import Fraction
 from textwrap import dedent
 
 import pytest
 
-from addingmachine import cli, finite_ifs
+from addingmachine import cli, finite_ifs, interval_dynamics
 from addingmachine.cli import SWEEP_MAX_STEPS, main
+from addingmachine.ifs_io import format_ifs
 
 Z6_TWO_TEXT = dedent("""\
     states: 0 1 2 3 4 5
@@ -214,6 +217,32 @@ def test_ifs_verify_decides_minimality_once(capsys, z6two, monkeypatch):
     code, out, _ = run(capsys, "ifs", "verify", z6two)
     assert code == 0
     assert len(searches) == 2  # one forward and one reverse search
+
+
+def test_ifs_analyze_reads_a_bijective_system_off_one_summary(capsys, tmp_path, monkeypatch):
+    # one forward and one reverse search, and neither the R walk nor nm_set
+    path = tmp_path / "rot96.ifs"
+    path.write_text(format_ifs(finite_ifs.rotation_system(96, [1, 5])))
+    searches = []
+    reached = finite_ifs._reached
+
+    def counting(successors, starts):
+        searches.append(starts)
+        return reached(successors, starts)
+
+    def walk(*args):
+        raise AssertionError("a walk ran on a bijective system")
+
+    monkeypatch.setattr(finite_ifs, "_reached", counting)
+    monkeypatch.setattr(finite_ifs, "_reach_walk", walk)
+    monkeypatch.setattr(finite_ifs, "nm_set", walk)
+    code, out, _ = run(capsys, "ifs", "analyze", str(path))
+    assert code == 0
+    assert len(searches) == 2
+    lines = out.splitlines()
+    assert "spectrum: 1 2 4" in lines
+    assert "tower: 2 2 (sizes 2 4)" in lines
+    assert "recurrent: (none)" in lines
 
 
 @pytest.fixture
@@ -437,6 +466,42 @@ def test_tent_tower_surd_slope_after_a_transient(capsys):
         level size 8: absent
         deepest certified: 0
         """) + SURD_TOWER_NOTE
+
+
+def decimal_text(x):
+    """format_exact's text for a Fraction, with digits from Decimal, which
+    has no limit on the size of the ints it prints."""
+    if x.denominator == 1:
+        return str(Decimal(x.numerator))
+    return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
+
+
+def test_tent_orbit_prints_points_past_the_int_digit_limit(capsys):
+    # the last point's denominator is 1000^1434 or 2*1000^1434: 4303 digits
+    a = Fraction(1999, 1000)
+    code, out, _ = run(capsys, "tent", "orbit", "--a", "1999/1000", "--budget", "1434")
+    assert code == 0
+    x = Fraction(1, 2)
+    for _ in range(1434):
+        x = a * x if x < Fraction(1, 2) else a * (1 - x)
+    assert len(str(Decimal(x.denominator))) > 4300
+    *_, last, status = out.splitlines()
+    assert last == f"k=1434: {decimal_text(x)}"
+    assert status == "status: transient-only"
+
+
+def test_tent_cycle_prints_hulls_past_the_int_digit_limit(capsys):
+    code, out, _ = run(capsys, "tent", "cycle", "--a", "11/10", "--n", "2",
+                       "--transient", "5000", "--window", "64")
+    assert code == 0
+    det = interval_dynamics.detect_interval_cycle(Fraction(11, 10), 2, transient=5000, window=64)
+    j, img, target = det.escape
+    assert len(str(Decimal(img[0].denominator))) > 4300
+    assert out.splitlines()[-2:] == [
+        "status: absent",
+        f"escape: T(I[{j}]) = [{decimal_text(img[0])}, {decimal_text(img[1])}] not inside "
+        f"I[{(j + 1) % 2}] = [{decimal_text(target[0])}, {decimal_text(target[1])}]",
+    ]
 
 
 def test_tent_cycle_needs_n_or_primes(capsys):

@@ -26,7 +26,7 @@ from addingmachine.finite_ifs import (
     rotation_system,
 )
 from addingmachine.odometer import BaseSequence, OdometerPoint
-from strategies import small_systems
+from strategies import permutation_systems, small_systems
 
 Z4 = rotation_system(4, [1])
 Z6 = rotation_system(6, [1])
@@ -119,7 +119,7 @@ def reference_extensions(F):
 
 
 @settings(max_examples=150, deadline=None)
-@given(F=small_systems().filter(is_minimal))
+@given(F=(small_systems() | permutation_systems()).filter(is_minimal))
 @example(F=NONSURJ)
 @example(F=Z6_TWO)
 @example(F=rotation_system(1, [0]))

@@ -1,10 +1,12 @@
 import math
 import operator
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from addingmachine._intmath import decimal_str
 from addingmachine.errors import ExactnessError, InputError
 from addingmachine.exactnum import (
     Surd,
@@ -106,6 +108,29 @@ def test_parse_and_format_roundtrip():
     assert parse_exact("2-sqrt(2)") == 2 - R2
     assert parse_exact("1.05") == Fraction(21, 20)
     assert parse_exact(" 7 ") == Fraction(7)
+
+
+# Decimal converts ints of any size exactly, with no digit limit, so it
+# is the reference for printing past str's 4300-digit default
+
+
+@settings(max_examples=60)
+@given(n=st.integers(min_value=-(10**9000), max_value=10**9000))
+@example(n=10**4300 - 1)  # 4300 digits, the most str prints by default
+@example(n=10**4300)
+@example(n=-(10**4300))
+@example(n=10**8601)  # a split leaves long runs of zeros
+@example(n=0)
+def test_decimal_str_prints_ints_of_any_size(n):
+    assert decimal_str(n) == str(Decimal(n))
+
+
+def test_format_exact_past_the_int_digit_limit():
+    big = 10**4400 + 3
+    assert format_exact(Fraction(big, 7)) == f"{Decimal(big)}/7"
+    assert format_exact(Fraction(big)) == str(Decimal(big))
+    x = surd(Fraction(1, big), Fraction(big - 1, big), 2)
+    assert format_exact(x) == f"(1+{Decimal(big - 1)}*sqrt(2))/{Decimal(big)}"
 
 
 def test_parse_rejects_garbage():

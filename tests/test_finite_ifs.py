@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -22,10 +24,11 @@ from addingmachine.finite_ifs import (
     power_system,
     regularly_recurrent_points,
     rotation_system,
+    spectrum,
     tables_of_length,
 )
 from addingmachine.ifs_io import format_ifs
-from strategies import small_systems
+from strategies import permutation_systems, small_systems
 
 Z6 = rotation_system(6, [1])
 Z6_TWO = rotation_system(6, [1, 3])
@@ -438,23 +441,6 @@ def test_is_minimal_verdict_is_cached_out_of_equality_hash_and_repr():
 # -- the reach kernel on permutation systems ----------------------------------
 
 
-@st.composite
-def permutation_systems(draw):
-    """1-3 permutations of at most 7 states; half are relabelled rotations."""
-    n = draw(st.integers(min_value=1, max_value=7))
-    labels = "abc"[: draw(st.integers(min_value=1, max_value=3))]
-    if not draw(st.booleans()):
-        return FiniteIFS({l: tuple(draw(st.permutations(range(n)))) for l in labels})
-    name = draw(st.permutations(range(n)))
-    tables = {}
-    for label in labels:
-        shift, table = draw(st.integers(0, n - 1)), [0] * n
-        for x in range(n):
-            table[name[x]] = name[(x + shift) % n]
-        tables[label] = tuple(table)
-    return FiniteIFS(tables)
-
-
 def bfs_period(F):
     """gcd of l(x) + 1 - l(y) over the edges x -> y, l the BFS levels from 0."""
     levels = {0: 0}
@@ -516,6 +502,49 @@ def test_nm_set_on_large_permutation_systems_is_the_divisors_of_the_period(F):
     d = bfs_period(F)
     n = F.n_states
     assert nm_set(F, n).members == tuple(k for k in range(1, n + 1) if d % k == 0)
+
+
+# -- closed forms on minimal permutation systems ---------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(F=permutation_systems().filter(is_minimal))
+@example(F=rotation_system(6, [2, 3]))
+@example(F=rotation_system(1, [0]))
+def test_spectrum_closed_form_matches_nm_set(F):
+    for bound in [*range(1, F.n_states ** 2 + 3), 10**9]:
+        assert spectrum(F, bound) == nm_set(F, bound)
+
+
+def reach_walk_recurrent_points(F, horizon):
+    """regularly_recurrent_points as the R_n walk computes it on any system."""
+    maps = [F.table(label) for label in F.labels]
+    reach = [1 << x for x in F.states]
+    found, pending = set(), {x: set() for x in F.states}
+    for _ in range(horizon):
+        reach = [
+            functools.reduce(operator.or_, (reach[t[x]] for t in maps)) for x in F.states
+        ]
+        for x, seen in list(pending.items()):
+            if reach[x] == 1 << x:
+                found.add(x)
+            elif reach[x] not in seen:
+                seen.add(reach[x])
+                continue
+            del pending[x]
+        if not pending:
+            break
+    return frozenset(found)
+
+
+@settings(max_examples=100, deadline=None)
+@given(F=permutation_systems().filter(is_minimal))
+@example(F=rotation_system(5, [1, 1]))  # one table under two labels
+@example(F=rotation_system(1, [0, 0]))
+@example(F=Z6_TWO)
+def test_recurrence_closed_form_matches_the_reach_walk(F):
+    for horizon in range(1, 2 * F.n_states + 1):
+        assert regularly_recurrent_points(F, horizon) == reach_walk_recurrent_points(F, horizon)
 
 
 def test_verify_passes_on_a_24_state_two_permutation_system(tmp_path, capsys):
