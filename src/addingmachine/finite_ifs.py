@@ -102,7 +102,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InputError, NoCanonicalCoverError
 
@@ -430,8 +430,7 @@ def _reached(successors: Sequence[Sequence[int]], starts: Iterable[int]) -> dict
     return levels
 
 
-@dataclass(frozen=True)
-class _Summary:
+class _Summary(NamedTuple):
     """What one system's two searches from state 0 show (module docstring).
 
     order lists the states the forward search finds, in the order it
@@ -449,29 +448,32 @@ class _Summary:
 
 def _summary(F: FiniteIFS) -> _Summary:
     """F's summary, built on the first call and cached on F."""
-    if F._summary is None:
+    summary = F._summary
+    if summary is None:
+        n, tables = F.n_states, F._tables
         images = _images(F)
         preimages: list[list[int]] = [[] for _ in images]
         for x, ys in enumerate(images):
             for y in ys:
                 preimages[y].append(x)
-        n = F.n_states
         found = _reached(images, (0,))
         minimal = len(found) == n and len(_reached(preimages, (0,))) == n
         period = 0
         if minimal:
-            # a list, not a generator: unpacking a generator into the call
-            # left the process about 1 MiB larger after a few hundred systems
-            period = gcd(*[found[x] + 1 - found[y] for x, ys in enumerate(images) for y in ys])
-        F._summary = _Summary(
+            for x, ys in enumerate(images):
+                for y in ys:
+                    period = gcd(period, found[x] + 1 - found[y])
+                if period == 1:
+                    break
+        summary = F._summary = _Summary(
             minimal=minimal,
             order=tuple(found),
-            levels=tuple(found.get(x) for x in F.states),
+            levels=tuple(map(found.get, range(n))),
             period=period,
-            bijective=all(len(set(t)) == n for t in F._tables),
-            one_table=len(set(F._tables)) == 1,
+            bijective=all(len(set(t)) == n for t in tables),
+            one_table=len(set(tables)) == 1,
         )
-    return F._summary
+    return summary
 
 
 def is_minimal(F: FiniteIFS) -> bool:
