@@ -206,6 +206,7 @@ def _cmd_tent(args) -> int:
         return 0
     if args.op == "cycle":
         a = parse_exact(args.a)
+        _check_transient(args.transient)
         header = [
             f"# a = {format_exact(interval_dynamics.TentParam(a).a)}",
             f"# transient = {args.transient}, window = {args.window}, margin = {args.margin}",
@@ -213,8 +214,7 @@ def _cmd_tent(args) -> int:
         if args.primes:
             primes = _parse_primes(args.primes)
             cert = interval_dynamics.tower_certificate(
-                a, primes, transient=args.transient, window=args.window,
-                margin=parse_exact(args.margin),
+                a, primes, window=args.window, margin=parse_exact(args.margin)
             )
             lines = ["# tent tower"] + header
             lines.append(f"# primes = {','.join(map(str, primes))}")
@@ -227,8 +227,7 @@ def _cmd_tent(args) -> int:
         if args.n is None:
             raise InputError("tent cycle needs --n or --primes")
         det = interval_dynamics.detect_interval_cycle(
-            a, args.n, transient=args.transient, window=args.window,
-            margin=parse_exact(args.margin),
+            a, args.n, window=args.window, margin=parse_exact(args.margin)
         )
         lines = ["# tent cycle"] + header
         lines.append(f"# n = {args.n}")
@@ -258,6 +257,7 @@ def _cmd_tent(args) -> int:
                              "use a larger --step or a shorter range")
         if not args.primes and args.n is None:
             raise InputError("tent sweep needs --n or --primes")
+        _check_transient(args.transient)
         rows = ["a,level_certified,cycle_lengths,status"]
         margin = parse_exact(args.margin)
         primes = _parse_primes(args.primes) if args.primes else None
@@ -265,12 +265,12 @@ def _cmd_tent(args) -> int:
         while a <= stop:
             if primes is not None:
                 cert = interval_dynamics.tower_certificate(
-                    a, primes, transient=args.transient, window=args.window, margin=margin
+                    a, primes, window=args.window, margin=margin
                 )
                 sizes, levels, deepest = cert.sizes, cert.levels, cert.deepest_certified
             else:  # one level of size n, reported like a one-level tower
                 det = interval_dynamics.detect_interval_cycle(
-                    a, args.n, transient=args.transient, window=args.window, margin=margin
+                    a, args.n, window=args.window, margin=margin
                 )
                 sizes, levels, deepest = (args.n,), (det,), int(det.status == "certified")
             certified = [str(size) for size, lv in zip(sizes, levels) if lv.status == "certified"]
@@ -280,6 +280,14 @@ def _cmd_tent(args) -> int:
         _emit("\n".join(rows) + "\n", getattr(args, "output", None))
         return 0
     raise InputError(f"unknown tent operation {args.op!r}")
+
+
+def _check_transient(transient: int) -> None:
+    """--transient is accepted and echoed for old command lines, and has
+    no effect: the certificate reads the critical orbit from 1/2 (see
+    interval_dynamics)."""
+    if transient < 0:
+        raise InputError(f"transient must be >= 0, got {transient}")
 
 
 def _parse_primes(text: str) -> tuple[int, ...]:
@@ -341,8 +349,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cy.add_argument("--a", required=True)
     p_cy.add_argument("--n", type=int, default=None, help="cycle length to certify")
     p_cy.add_argument("--primes", default=None, help="comma-separated level factors, e.g. 2,2")
-    p_cy.add_argument("--transient", type=int, default=0)
-    p_cy.add_argument("--window", type=int, default=64)
+    p_cy.add_argument("--transient", type=int, default=0, help="accepted, no effect")
+    p_cy.add_argument("--window", type=int, default=64, help="critical-orbit points to read at most")
     p_cy.add_argument("--margin", default="0")
     p_sw = tent_ops.add_parser("sweep", help="CSV of certificates over a slope range")
     p_sw.add_argument("--from", dest="start", required=True)
@@ -350,8 +358,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--step", required=True)
     p_sw.add_argument("--n", type=int, default=None)
     p_sw.add_argument("--primes", default=None)
-    p_sw.add_argument("--transient", type=int, default=0)
-    p_sw.add_argument("--window", type=int, default=64)
+    p_sw.add_argument("--transient", type=int, default=0, help="accepted, no effect")
+    p_sw.add_argument("--window", type=int, default=64, help="critical-orbit points to read at most")
     p_sw.add_argument("--margin", default="0")
     p_sw.add_argument("--output", default=None)
     return parser

@@ -30,16 +30,22 @@ from fractions import Fraction
 from math import gcd
 from typing import Union
 
-from ._intmath import decimal_str, factorize
+from ._intmath import FACTOR_LIMIT, decimal_str, factorize
 from .errors import ExactnessError, InputError
 
 ExactNumber = Union[Fraction, "Surd"]
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Write n >= 1 as k*k*m with m squarefree; return (k, m)."""
+    """Write n >= 1 as k*k*m with m squarefree; return (k, m).
+
+    n must lie below FACTOR_LIMIT (about 3.3*10^24), where factorize is
+    exact and takes at most about a second.
+    """
     if n < 1:
         raise InputError(f"radicand must be positive, got {n}")
+    if n >= FACTOR_LIMIT:
+        raise InputError(f"radicand must be below {FACTOR_LIMIT}, got {decimal_str(n)}")
     k = m = 1
     for p, e in factorize(n).items():
         k *= p ** (e // 2)

@@ -76,15 +76,51 @@ of two long integers, quadratic in their bits, though on the critical
 orbit the gcd is known to be 1 or 2. A surd orbit builds every point
 from its walk's reduced triple.
 
-The renormalization detector looks for n closed intervals, one per
-residue class of the iteration index, that are pairwise disjoint and
-cyclically permuted by the map. Such a family is the interval
-counterpart of one tower level of a cyclic partition, and certified
-levels for sizes m_1 | m_2 | ... chain into an adding-machine-style
-certificate (necessary evidence, not a proof of the full structure).
-The class hulls are min and max over plain integer keys of the samples
-(_window_keys); only their 2n endpoints become exact numbers, and the
-images of the hulls are read off tent_eval at their ends.
+The renormalization detector looks for closed intervals J_1, ..., J_n,
+pairwise disjoint, with T(J_j) inside J_(j+1) and T(J_n) inside J_1
+(J_0 is J_n below). Such a family is the interval counterpart of one
+tower level of a cyclic partition, and certified levels for sizes
+m_1 | m_2 | ... chain into an adding-machine-style certificate
+(necessary evidence, not a proof of the full structure). T_a has one
+for n = 2^k exactly when a^(2^k) <= 2 (Milnor-Thurston 1988; de
+Melo-van Strien 1993, ch. III). The detector reads the critical orbit
+c_0 = 1/2, c_(k+1) = T(c_k) in prefixes c_0, ..., c_(m-1), for
+m = 2n+1, 3n+1, ... and last m = window; it takes the hull I_j of the
+points c_k with k = j mod n (c_0 in class 0) and stops at the first
+prefix whose hulls decide:
+
+- Two hulls meet: "absent", and this is sound. Number a family so that
+  c_1 lies in J_1. Then c_k lies in J_(k mod n) for every k >= 1, by
+  induction on k. For a > 1, 1/2 lies in J_n as well. If 1/2 lies in
+  some J_j, then c_1 = T(1/2) lies in J_(j+1) and in J_1, so j = n by
+  disjointness. If 1/2 lies in none and J_1 is not a point, T is affine
+  on every J_j, so T^n is affine on J_1 with slope +-a^n and stretches
+  J_1, and cannot map it into itself. If J_1 is the point c_1, then
+  T^n(c_1) = c_1, so T(c_n) = c_1 = T(1/2), and 1/2 is the only point
+  T sends to its maximum a/2: c_n = 1/2 lies in J_n. So every I_j lies
+  in J_j, and hulls that meet rule out every family. For a <= 1 and
+  n >= 2 there is no family at all. For a < 1, T^n maps J_1 into
+  itself and so fixes a point of it, but every orbit tends to 0, so
+  that point is 0, and 0 = T(0) lies in J_2 too. For a = 1,
+  c_1 = 1/2 is fixed and lies in J_1 and J_2. (For n = 1 there are
+  no two hulls to meet.)
+- The hulls are disjoint and T(I_j) lies in I_(j+1): "certified", a
+  family by construction. It is forward invariant, so every later
+  point c_k stays in I_(k mod n): the hulls of every longer prefix,
+  the whole window's included, are the same.
+- The hulls are disjoint but an image leaks out. An escape is no
+  absence witness, so the prefix grows. When the window's points are
+  read and the hulls still escape, the status is "inconclusive".
+
+A margin widens the hulls (clamped to [0, 1]) for the certification
+only; widened hulls that meet or escape make the prefix grow, since a
+widened overlap proves nothing. When every point read is 1/2 (a = 1,
+or a window of one point) all hulls are that point, and the status is
+"degenerate". The levels of one tower share the critical-orbit memo
+and nothing else, and it never holds more than the window's points. The class hulls are min and max over plain integer
+keys of the prefix (_prefix_keys); only their 2n endpoints become exact
+numbers, and the images of the hulls are read off tent_eval at their
+ends.
 """
 
 from __future__ import annotations
@@ -115,16 +151,14 @@ class TentParam:
     """A validated tent-map slope in [0, 2].
 
     _kernel is the slope as integers (p, q, s, r), with q = r = 0 for a
-    rational p/s; _critical is the walked prefix of the critical orbit
-    in integer form (see the module docstring), and _window the keys of
-    the last window _window_keys built. None of them takes part in
+    rational p/s, and _critical the walked prefix of the critical orbit
+    in integer form (see the module docstring). Neither takes part in
     equality, hashing or repr.
     """
 
     a: ExactNumber
     _kernel: tuple = field(init=False, compare=False, repr=False)
     _critical: list = field(init=False, compare=False, repr=False)
-    _window: tuple = field(default=(), init=False, compare=False, repr=False)
 
     def __post_init__(self):
         value = _coerce(self.a)
@@ -367,18 +401,18 @@ class CycleDetection:
     """Outcome of the n-interval renormalization check.
 
     status: "certified" (disjoint hulls, cyclically mapped inside each
-    other), "absent" (a witness breaks disjointness or containment),
-    "degenerate" (the sampled tail is one repeated point, a trivial
-    cycle that certifies nothing), or "inconclusive" (some residue class
-    got no samples).
+    other), "absent" (the exact hulls of two classes meet, which rules
+    out every such family), "degenerate" (every point read is 1/2, a
+    trivial cycle that certifies nothing), or "inconclusive" (the window
+    ran out first: some class got no point, or the hulls of the whole
+    window were disjoint but not mapped inside each other).
     intervals holds the n hulls when certified; overlap names two hull
-    indices that touch; escape names (class j, image interval, target
-    interval) when an image leaks out.
+    indices that meet; escape names (class j, image interval, target
+    interval) when the window ran out on an image that leaks out.
     """
 
     n: int
     status: str
-    transient: int
     window: int
     margin: ExactNumber
     intervals: tuple | None = None
@@ -397,128 +431,116 @@ def _tent_image(a: TentParam, lo, hi):
     return (left if left <= right else right), tent_eval(a, HALF)
 
 
-def _window_keys(param: TentParam, transient: int, window: int):
-    """(den, keys) for the critical orbit's samples k = transient, ...,
-    end - 1, with end = transient + window: one denominator den and one
-    key per sample, in orbit order, that orders the samples exactly.
+def _prefix_keys(param: TentParam, length: int):
+    """(den, keys) for the critical orbit's first points c_0, ...,
+    c_(length-1): one denominator den and one key per point, in orbit
+    order, that orders the points exactly.
 
-    A rational slope's sample P_k/(2*s^k) goes over den = 2*s^(end-1)
-    as the key P_k*s^(end-1-k). A surd slope's samples are reduced
-    triples (P, Q, D); over den = lcm of their D (at most 2*s^(end-1),
-    and much less on a periodic orbit) each is (P' + Q'*sqrt(r))/den
-    with (P', Q') = (den // D)*(P, Q), and its key is K = (P' << b) +
-    Q'*root, with root = isqrt(r * 4^b) and b chosen so that
-    2^b > 8*M^2*r, M bounding every |P'| and |Q'|. K orders the samples
-    exactly: 2^b*sqrt(r) - root lies in [0, 1), so K is within |Q'| <= M
-    of 2^b*(P' + Q'*sqrt(r)). Two distinct samples differ by
+    A rational slope's point P_k/(2*s^k) goes over den = 2*s^(length-1)
+    as the key P_k*s^(length-1-k). A surd slope's points are reduced
+    triples (P, Q, D); over den = lcm of their D (at most
+    2*s^(length-1), and much less on a periodic orbit) each is
+    (P' + Q'*sqrt(r))/den with (P', Q') = (den // D)*(P, Q), and its key
+    is K = (P' << b) + Q'*root, with root = isqrt(r * 4^b) and b chosen
+    so that 2^b > 8*M^2*r, M bounding every |P'| and |Q'|. K orders the
+    points exactly: 2^b*sqrt(r) - root lies in [0, 1), so K is within
+    |Q'| <= M of 2^b*(P' + Q'*sqrt(r)). Two distinct points differ by
     d = (dP + dQ*sqrt(r))/den, whose norm dP^2 - dQ^2*r is a nonzero
     integer (sqrt(r) is irrational), so |dP + dQ*sqrt(r)| >=
     1/|dP - dQ*sqrt(r)| > 1/(4*M*sqrt(r)), and their keys differ in the
-    sign of d, by more than 2^b/(4*M*sqrt(r)) - 2*M > 0. Equal samples
+    sign of d, by more than 2^b/(4*M*sqrt(r)) - 2*M > 0. Equal points
     have equal (P', Q') and equal keys.
-
-    param keeps the last window asked, so the levels of one tower share
-    one scaling as well as one walk.
     """
-    cached = param._window  # read once: another thread may replace it
-    if cached[:2] == (transient, window):
-        return cached[2:]
-    end = transient + window
-    tail = _critical(param, transient, end)
+    points = _critical(param, 0, length)
     _, q, s, r = param._kernel
     if q:
-        den = lcm(*(D for _, _, D in tail))
-        scales = [den // D for _, _, D in tail]
+        den = lcm(*(D for _, _, D in points))
+        scales = [den // D for _, _, D in points]
         # M < 2^L, as |P*m| < 2^(bits of P + bits of m)
         L = max(max(P.bit_length(), Q.bit_length()) + m.bit_length()
-                for (P, Q, _), m in zip(tail, scales))
+                for (P, Q, _), m in zip(points, scales))
         b = 2 * L + r.bit_length() + 3
         root = isqrt(r << 2 * b)
-        keys = [(P * m << b) + Q * m * root for (P, Q, _), m in zip(tail, scales)]
-    else:
-        den = 2 * s ** (end - 1)
-        keys = [0] * window
-        m = 1  # s^(end-1-k) for sample k = transient + i
-        for i in range(window - 1, -1, -1):
-            keys[i] = tail[i] * m
-            m *= s
-    object.__setattr__(param, "_window", (transient, window, den, keys))
-    return den, keys
+        return den, [(P * m << b) + Q * m * root for (P, Q, _), m in zip(points, scales)]
+    keys = [0] * length
+    scale = 1  # s^(length-1-k) for point k
+    for k in range(length - 1, -1, -1):
+        keys[k] = points[k] * scale
+        scale *= s
+    return 2 * s ** (length - 1), keys
 
 
-def detect_interval_cycle(a, n: int, transient: int = 0, window: int = 64, margin=0) -> CycleDetection:
+def detect_interval_cycle(a, n: int, window: int = 64, margin=0) -> CycleDetection:
     """Look for n disjoint closed intervals cyclically permuted by T_a.
 
-    Samples the critical orbit, groups sample k by k mod n, and takes
-    each group's hull (widened by the margin, clamped to [0, 1]). The
-    certificate requires exact pairwise disjointness and exact image
-    containment T(I_j) inside I_{j+1 mod n}.
+    Reads the critical orbit in prefixes of m = 2n+1, 3n+1, ... points,
+    the last of window points, groups point k by k mod n, and stops at
+    the first prefix whose class hulls meet ("absent") or certify: exact
+    pairwise disjointness and exact image containment T(I_j) inside
+    I_{j+1 mod n}, for the hulls widened by the margin and clamped to
+    [0, 1]. The margin plays no part in the absence test (see the
+    module docstring).
 
     The hulls are found as min and max over the plain integer keys of
-    _window_keys; only their 2n endpoints become exact numbers, and with
-    no margin only once the hulls are known to be disjoint.
+    _prefix_keys; only their 2n endpoints become exact numbers, and only
+    once the hulls are known to be disjoint. The keys are built for the
+    first prefix, and past it for a length that at least doubles each
+    time, so a window of escapes costs O(window) keys, not
+    O(window^2 / n); the walk may then read up to twice the points of
+    the prefix that decides, never more than the window.
     """
     a = _slope(a)
     margin = _coerce(margin)
     if n < 1:
         raise InputError(f"cycle length must be >= 1, got {n}")
-    if transient < 0 or window < 1:
-        raise InputError("need transient >= 0 and window >= 1")
+    if window < 1:
+        raise InputError(f"window must be >= 1, got {window}")
     if margin < 0:
         raise InputError("margin must be >= 0")
-    den, keys = _window_keys(a, transient, window)
-    if window < n:  # some residue class got no samples
-        return CycleDetection(
-            n=n, status="inconclusive", transient=transient, window=window, margin=margin
-        )
-    # sample k sits at index k - transient, so class j starts at (j - transient) % n
-    bounds = [(min(g), max(g)) for g in (keys[(j - transient) % n::n] for j in range(n))]
-    v = bounds[0][0]
-    if all(lo == v and hi == v for lo, hi in bounds):
-        return CycleDetection(
-            n=n, status="degenerate", transient=transient, window=window, margin=margin
-        )
+    if window < n:  # some residue class gets no point
+        return CycleDetection(n=n, status="inconclusive", window=window, margin=margin)
     _, q, _, r = a._kernel
+    escape, length = None, 0
+    for m in (*range(2 * n + 1, window, n), window):
+        if m > length:  # keys of a longer prefix order this one's points too
+            length = min(window, max(m, 2 * length))
+            den, keys = _prefix_keys(a, length)
+        bounds = [(min(g), max(g)) for g in (keys[j:m:n] for j in range(n))]
+        v = bounds[0][0]
+        if all(lo == v and hi == v for lo, hi in bounds):
+            return CycleDetection(n=n, status="degenerate", window=window, margin=margin)
+        order = sorted(range(n), key=lambda j: bounds[j][0])
+        neighbours = list(zip(order, order[1:]))
+        for prev, nxt in neighbours:
+            if not bounds[prev][1] < bounds[nxt][0]:
+                return CycleDetection(
+                    n=n, status="absent", window=window, margin=margin, overlap=(prev, nxt)
+                )
 
-    def exact(key):
-        if q:  # the memo holds each key's sample as a reduced triple
-            k = transient + keys.index(key)
-            return _reduced(*_critical(a, k, k + 1)[0], r)
-        return Fraction(key, den)
+        def exact(key):
+            if q:  # the memo holds each key's point as a reduced triple
+                k = keys.index(key)
+                return _reduced(*_critical(a, k, k + 1)[0], r)
+            return Fraction(key, den)
 
-    # without a margin the keys order the hulls as their exact ends do, so
-    # exact numbers are built only for hulls that pass the disjointness check
-    hulls = bounds
-    if margin:
-        hulls = []
-        for lo, hi in bounds:
-            lo, hi = exact(lo) - margin, exact(hi) + margin
-            if lo < 0:
-                lo = Fraction(0)
-            if hi > 1:
-                hi = Fraction(1)
-            hulls.append((lo, hi))
-    order = sorted(range(n), key=lambda j: hulls[j][0])
-    for prev, nxt in zip(order, order[1:]):
-        if not hulls[prev][1] < hulls[nxt][0]:
-            return CycleDetection(
-                n=n, status="absent", transient=transient, window=window,
-                margin=margin, overlap=(prev, nxt),
-            )
-    if not margin:
         hulls = [(exact(lo), exact(hi)) for lo, hi in bounds]
-    for j in range(n):
-        img = _tent_image(a, *hulls[j])
-        target = hulls[(j + 1) % n]
-        if img[0] < target[0] or img[1] > target[1]:
+        escape = None
+        if margin:
+            hulls = [(max(lo - margin, Fraction(0)), min(hi + margin, Fraction(1)))
+                     for lo, hi in hulls]
+            if any(not hulls[prev][1] < hulls[nxt][0] for prev, nxt in neighbours):
+                continue  # widened hulls that meet certify nothing, and rule nothing out
+        for j in range(n):
+            img = _tent_image(a, *hulls[j])
+            target = hulls[(j + 1) % n]
+            if img[0] < target[0] or img[1] > target[1]:
+                escape = (j, img, target)
+                break
+        else:
             return CycleDetection(
-                n=n, status="absent", transient=transient, window=window,
-                margin=margin, escape=(j, img, target),
+                n=n, status="certified", window=window, margin=margin, intervals=tuple(hulls)
             )
-    return CycleDetection(
-        n=n, status="certified", transient=transient, window=window,
-        margin=margin, intervals=tuple(hulls),
-    )
+    return CycleDetection(n=n, status="inconclusive", window=window, margin=margin, escape=escape)
 
 
 DISCLAIMER = (
@@ -544,7 +566,7 @@ class TowerCertificate:
     disclaimer: str = DISCLAIMER
 
 
-def tower_certificate(a, primes, transient: int = 0, window: int = 64, margin=0) -> TowerCertificate:
+def tower_certificate(a, primes, window: int = 64, margin=0) -> TowerCertificate:
     """Certify nested interval cycles at sizes p1, p1*p2, ... in order."""
     a = _slope(a)
     primes = tuple(primes)
@@ -558,10 +580,7 @@ def tower_certificate(a, primes, transient: int = 0, window: int = 64, margin=0)
     for p in primes:
         m *= p
         sizes.append(m)
-    levels = tuple(
-        detect_interval_cycle(a, size, transient=transient, window=window, margin=margin)
-        for size in sizes
-    )
+    levels = tuple(detect_interval_cycle(a, size, window, margin) for size in sizes)
     deepest = 0
     for det in levels:
         if det.status != "certified":

@@ -450,9 +450,9 @@ def test_tent_tower_surd_slope(capsys):
 
 
 def test_tent_tower_surd_slope_after_a_transient(capsys):
-    # today's behaviour, not a sound verdict: a^2 < 2 here, so T_a is
-    # renormalizable, but hulls sampled after the transient lose c_1 and
-    # c_2, an image escapes, and every level reads "absent" (ROADMAP item 4)
+    # a^8 < 2 here, so T_a is renormalizable at every level: --transient is
+    # accepted and echoed but has no effect, and the report is the
+    # transient-free one
     code, out, _ = run(capsys, "tent", "cycle", "--a", "(12-2*sqrt(5))/7",
                        "--primes", "2,2,2", "--window", "256", "--transient", "64")
     assert code == 0
@@ -461,11 +461,55 @@ def test_tent_tower_surd_slope_after_a_transient(capsys):
         # a = (12-2*sqrt(5))/7
         # transient = 64, window = 256, margin = 0
         # primes = 2,2,2
-        level size 2: absent
-        level size 4: absent
-        level size 8: absent
-        deepest certified: 0
+        level size 2: certified
+        level size 4: certified
+        level size 8: certified
+        deepest certified: 3
         """) + SURD_TOWER_NOTE
+
+
+@pytest.mark.parametrize("transient", [0, 1, 2, 64])
+def test_tent_cycle_certifies_whatever_the_transient(capsys, transient):
+    # a^2 = 1.212201 < 2: a sampled tail that dropped c_1 and c_2 once read
+    # an escape as "absent" from transient 2 on
+    code, out, _ = run(capsys, "tent", "cycle", "--a", "1101/1000", "--n", "2",
+                       "--transient", str(transient))
+    assert code == 0
+    assert out == dedent(f"""\
+        # tent cycle
+        # a = 1101/1000
+        # transient = {transient}, window = 64, margin = 0
+        # n = 2
+        status: certified
+        I[0] = [989799/2000000, 1002164662401/2000000000000]
+        I[1] = [1089768699/2000000000, 1101/2000]
+        """)
+
+
+def test_tent_cycle_long_transient_walks_nothing_extra(capsys):
+    # a transient of 24,000 once meant 24,064 exact points and 147 MiB
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "tent", "cycle", "--a", "13/10", "--primes", "2,2,2",
+                       "--transient", "24000")
+    assert time.perf_counter() - started < 1.0
+    assert code == 0
+    assert out.splitlines()[2:8] == [
+        "# transient = 24000, window = 64, margin = 0",
+        "# primes = 2,2,2",
+        "level size 2: certified",
+        "level size 4: absent",
+        "level size 8: absent",
+        "deepest certified: 1",
+    ]
+
+
+@pytest.mark.parametrize("op", [("cycle", "--a", "13/10"), ("sweep", "--from", "1", "--to", "2",
+                                                            "--step", "1/2")])
+def test_tent_negative_transient_is_an_input_error(capsys, op):
+    code, out, err = run(capsys, "tent", *op, "--n", "2", "--transient", "-1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: transient must be >= 0, got -1\n"
 
 
 def decimal_text(x):
@@ -491,16 +535,19 @@ def test_tent_orbit_prints_points_past_the_int_digit_limit(capsys):
 
 
 def test_tent_cycle_prints_hulls_past_the_int_digit_limit(capsys):
-    code, out, _ = run(capsys, "tent", "cycle", "--a", "11/10", "--n", "2",
-                       "--transient", "5000", "--window", "64")
+    # a = 1 + 10^-1500 certifies on c_0, ..., c_4, whose denominators reach
+    # 2*10^6000; the slope itself prints in 1,501-digit parts
+    s = 10**1500
+    a = Fraction(s + 1, s)
+    code, out, _ = run(capsys, "tent", "cycle", "--a", f"{s + 1}/{s}", "--n", "2")
     assert code == 0
-    det = interval_dynamics.detect_interval_cycle(Fraction(11, 10), 2, transient=5000, window=64)
-    j, img, target = det.escape
-    assert len(str(Decimal(img[0].denominator))) > 4300
-    assert out.splitlines()[-2:] == [
-        "status: absent",
-        f"escape: T(I[{j}]) = [{decimal_text(img[0])}, {decimal_text(img[1])}] not inside "
-        f"I[{(j + 1) % 2}] = [{decimal_text(target[0])}, {decimal_text(target[1])}]",
+    det = interval_dynamics.detect_interval_cycle(a, 2)
+    assert det.status == "certified"
+    ends = [x for hull in det.intervals for x in hull]
+    assert max(len(str(Decimal(x.denominator))) for x in ends) > 4300
+    assert out.splitlines()[-3:] == ["status: certified"] + [
+        f"I[{j}] = [{decimal_text(lo)}, {decimal_text(hi)}]"
+        for j, (lo, hi) in enumerate(det.intervals)
     ]
 
 
@@ -606,6 +653,29 @@ def test_tent_zero_denominator_after_sqrt(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: zero denominator in 'sqrt(2)/0'\n"
+
+
+def test_tent_large_radicand_is_factored_quickly(capsys):
+    # 10^24 + 7 is prime: trial division up to its square root never ended
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "tent", "orbit", "--a",
+                       "(1+sqrt(1000000000000000000000007))/1000000000000", "--budget", "3")
+    assert time.perf_counter() - started < 0.5
+    assert code == 0
+    assert out.splitlines()[1:5] == [
+        "# a = (1+1*sqrt(1000000000000000000000007))/1000000000000",
+        "# budget = 3",
+        "k=0: 1/2",
+        "k=1: (1+1*sqrt(1000000000000000000000007))/2000000000000",
+    ]
+
+
+def test_tent_radicand_past_the_factoring_limit_is_an_input_error(capsys):
+    code, out, err = run(capsys, "tent", "orbit", "--a", "sqrt(3317044064679887385961981)")
+    assert code == 1
+    assert out == ""
+    assert err == ("error: radicand must be below 3317044064679887385961981, "
+                   "got 3317044064679887385961981\n")
 
 
 def test_tent_chained_sum_is_an_input_error(capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from addingmachine._intmath import decimal_str
+from addingmachine._intmath import FACTOR_LIMIT, decimal_str, factorize
 from addingmachine.errors import ExactnessError, InputError
 from addingmachine.exactnum import (
     Surd,
@@ -30,6 +30,56 @@ def test_squarefree_decompose():
     assert squarefree_decompose(360) == (6, 10)
     with pytest.raises(InputError):
         squarefree_decompose(0)
+
+
+def trial_division(n):
+    factors, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+@settings(max_examples=300)
+@example(n=0)
+@example(n=1)
+@example(n=41 * 41)
+@example(n=43 * 43)  # the least square past the small primes
+@example(n=2**20 * 3**7)
+@given(n=st.one_of(st.integers(min_value=0, max_value=10**4),
+                   st.integers(min_value=0, max_value=10**10)))
+def test_factorize_matches_trial_division(n):
+    assert factorize(n) == trial_division(n)
+    assert list(factorize(n)) == sorted(factorize(n))
+
+
+@pytest.mark.parametrize("factors", [
+    {100000000003: 1, 100000000019: 1},  # two 12-digit primes: rho's slow kind
+    {100000000003: 2},
+    {399165290221: 1, 798330580441: 1},  # strong pseudoprime to bases 2 ... 37
+    {151: 1, 751: 1, 28351: 1},  # strong pseudoprime to bases 2 ... 7
+    {1000000000000000000000007: 1},  # prime
+    {3: 40, 1000000000039: 1},
+])
+def test_factorize_big_inputs_below_the_limit(factors):
+    assert factorize(math.prod(p**e for p, e in factors.items())) == factors
+
+
+def test_factorize_refuses_a_part_at_the_limit():
+    # FACTOR_LIMIT is the least strong pseudoprime to the first 13 primes
+    p, q = 1287836182261, 2575672364521
+    assert p * q == FACTOR_LIMIT and factorize(p) == {p: 1} and factorize(q) == {q: 1}
+    assert factorize(2**100) == {2: 100}  # small primes divide out at any size
+    with pytest.raises(InputError, match="below 3317044064679887385961981"):
+        factorize(FACTOR_LIMIT)
+    with pytest.raises(InputError, match="radicand must be below"):
+        squarefree_decompose(FACTOR_LIMIT)
+    with pytest.raises(InputError, match="radicand must be below"):
+        exact_sqrt(FACTOR_LIMIT + 2)
 
 
 def test_exact_sqrt_collapses_squares():

@@ -1,11 +1,11 @@
 import sys
 import threading
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, pairwise
 from math import isqrt
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from addingmachine import interval_dynamics
 from addingmachine.errors import ExactnessError, InputError
@@ -240,11 +240,17 @@ def test_detect_cycle_absent_for_full_tent():
 
 
 def test_detect_cycle_degenerate_on_fixed_point():
-    # past the transient the critical orbit sits on one point, so a
-    # two-interval family has nothing to separate
-    assert detect_interval_cycle(SQRT2, 2).status == "absent"
-    assert detect_interval_cycle(SQRT2, 2, transient=3).status == "degenerate"
-    assert detect_interval_cycle(SQRT2, 1, transient=4).status == "degenerate"
+    # at a = sqrt(2), a^2 = 2, the orbit lands on the fixed point 2 - sqrt(2)
+    # at c_3, and the hulls [sqrt(2) - 1, 2 - sqrt(2)] of c_0, c_2, c_4 and
+    # [2 - sqrt(2), sqrt(2)/2] of c_1, c_3 touch there: absent, as the
+    # threshold a^2 <= 2 counts a boundary case that the hulls cannot separate
+    d = detect_interval_cycle(SQRT2, 2)
+    assert d.status == "absent" and d.overlap == (0, 1)
+    # 1/2 is read in every prefix, so only a = 1, where 1/2 is fixed, or a
+    # single point reads one repeated point
+    assert detect_interval_cycle(Fraction(1), 2).status == "degenerate"
+    assert detect_interval_cycle(SQRT2, 1, window=1).status == "degenerate"
+    assert detect_interval_cycle(SQRT2, 1).status == "certified"
 
 
 def test_detect_cycle_inconclusive_window():
@@ -253,17 +259,21 @@ def test_detect_cycle_inconclusive_window():
 
 def test_detect_cycle_margin_can_break_tight_certificates():
     # the certified pair at slope 13/10 has zero slack: the image of the
-    # odd hull IS the even hull, so any widening makes containment fail
+    # odd hull IS the even hull, so any widening makes containment fail.
+    # A widened escape rules nothing out: the window runs out
     d = detect_interval_cycle(Fraction(13, 10), 2, margin=Fraction(1, 1000))
-    assert d.status == "absent"
-    assert d.escape is not None
+    assert d.status == "inconclusive"
+    assert d.escape is not None and d.overlap is None
+    # the margin never makes an absence: exact hulls that meet still do
+    d = detect_interval_cycle(Fraction(2), 2, margin=Fraction(1, 1000))
+    assert d.status == "absent" and d.overlap == (0, 1)
 
 
 def test_detect_cycle_validation():
     with pytest.raises(InputError):
         detect_interval_cycle(Fraction(13, 10), 0)
     with pytest.raises(InputError):
-        detect_interval_cycle(Fraction(13, 10), 2, transient=-1)
+        detect_interval_cycle(Fraction(13, 10), 2, window=0)
     with pytest.raises(InputError):
         detect_interval_cycle(Fraction(13, 10), 2, margin=Fraction(-1, 10))
 
@@ -293,7 +303,7 @@ def test_tower_certificate_13_10_stops_at_depth_one():
 
 
 def test_tower_certificate_full_slope_fails_level_one():
-    tc = tower_certificate(Fraction(2), (2,), transient=0, window=64)
+    tc = tower_certificate(Fraction(2), (2,), window=64)
     assert tc.deepest_certified == 0
     assert [lv.status for lv in tc.levels] == ["absent"]
 
@@ -311,7 +321,7 @@ def test_tower_certificate_validation():
 
 
 @settings(max_examples=80)
-@example(a=Fraction(11, 10), transient=1, window=12, n=4)  # classes start at k = 1
+@example(a=Fraction(11, 10), transient=1, window=12, n=4)
 @given(
     a=st.fractions(min_value=1, max_value=2, max_denominator=64).filter(lambda a: a > 1),
     transient=st.integers(min_value=0, max_value=4),
@@ -335,11 +345,18 @@ def test_every_orbit_consumer_reads_the_same_walk(a, transient, window, n):
         "L" if x < half else ("C" if x == half else "R") for x in points[1:]
     )
     assert list(omega_limit_estimate(a, half, transient, window).samples) == tail
-    det = detect_interval_cycle(a, n, transient, window)
+    det = detect_interval_cycle(a, n, window)
     if det.status == "certified":
-        for j, hull in enumerate(det.intervals):
-            group = [x for k, x in enumerate(tail, transient) if k % n == j]
-            assert hull == (min(group), max(group))
+        # a certified family is forward invariant: whatever prefix certified
+        # it, its hulls are those of the whole window
+        assert_window_hulls(det, points[:window])
+
+
+def assert_window_hulls(det, window_points):
+    """det's hulls are min and max of its classes over the whole window."""
+    for j, hull in enumerate(det.intervals):
+        group = window_points[j::det.n]
+        assert hull == (min(group), max(group))
 
 
 # -- one walk per slope -------------------------------------------------------------
@@ -382,9 +399,26 @@ def count_walk_steps(call):
     return steps
 
 
+def keyed_length(n, window, decided):
+    """How many points the detector keys before it decides at the prefix
+    of decided points: the first prefix, then at least twice as many
+    each time a prefix outgrows the keys, never more than the window."""
+    length = 0
+    for m in (*range(2 * n + 1, window, n), window):
+        if m > decided:
+            break
+        if m > length:
+            length = min(window, max(m, 2 * length))
+    return length
+
+
+def memo_points(param):
+    """How many critical-orbit points param's memo holds."""
+    return len(param._critical) // (3 if isinstance(param.a, Surd) else 1)
+
+
 tower_args = dict(
     a=slopes(),
-    transient=st.integers(min_value=0, max_value=8),
     window=st.integers(min_value=1, max_value=40),
     primes=st.lists(st.sampled_from([2, 3]), min_size=1, max_size=3),
     margin=st.sampled_from([Fraction(0), Fraction(1, 1000)]),
@@ -393,55 +427,61 @@ tower_args = dict(
 
 @settings(max_examples=60, deadline=None)
 @given(**tower_args)
-def test_tower_levels_match_fresh_detections(a, transient, window, primes, margin):
-    cert = tower_certificate(a, primes, transient, window, margin)
+def test_tower_levels_match_fresh_detections(a, window, primes, margin):
+    cert = tower_certificate(a, primes, window, margin)
     assert cert.levels == tuple(
-        detect_interval_cycle(a, size, transient, window, margin) for size in cert.sizes
+        detect_interval_cycle(a, size, window, margin) for size in cert.sizes
     )
 
 
 @settings(max_examples=40, deadline=None)
 @given(**tower_args)
-def test_tower_certificate_walks_the_orbit_once(a, transient, window, primes, margin):
-    # one walk for any number of levels, from 1/2 to the last sample
-    steps = transient + window - 1
+def test_tower_certificate_walks_the_orbit_once(a, window, primes, margin):
+    # one walk for any number of levels, from 1/2 to the last point any
+    # level keys, and never past the window
     for depth in range(1, len(primes) + 1):
+        sizes = tower_certificate(a, primes[:depth], window, margin).sizes
+        keyed = max(keyed_length(size, window, reference_detection(a, size, window, margin)[1])
+                    for size in sizes)
+        steps = max(keyed - 1, 0)
         assert count_walk_steps(
-            lambda: tower_certificate(a, primes[:depth], transient, window, margin)
+            lambda: tower_certificate(a, primes[:depth], window, margin)
         ) == steps
     # the memo lives with its TentParam: an equal slope value walks again,
     # the same TentParam does not
     param = TentParam(a)
     for slope, walked in ((a, steps), (param, steps), (param, 0), (TentParam(a), steps)):
         assert count_walk_steps(
-            lambda: tower_certificate(slope, primes, transient, window, margin)
+            lambda: tower_certificate(slope, primes, window, margin)
         ) == walked
+    assert memo_points(param) <= window
 
 
 def test_threads_sharing_one_param_read_one_orbit():
-    # the memo and the kept window keys are filled without a lock; readers
-    # racing on one fresh TentParam, each with its own window, must each get
-    # what a TentParam of their own gives
+    # the memo is filled without a lock; readers racing on one fresh
+    # TentParam, each with its own window, must each get what a TentParam
+    # of their own gives
     a = parse_exact("(12-2*sqrt(5))/7")
-    jobs = [(0, 64), (8, 16), (3, 40), (1, 70), (5, 24), (2, 56)]
-    expected = {job: tower_certificate(a, (2, 2), *job) for job in jobs}
+    windows = [64, 6, 12, 70, 24, 3]
+    expected = {window: tower_certificate(a, (2, 2, 2), window) for window in windows}
     orbit = critical_orbit(a, 80)
     mismatches = []
 
-    def read(param, job, start):
+    def read(param, window, start):
         start.wait(timeout=10)
         for _ in range(3):
-            if tower_certificate(param, (2, 2), *job) != expected[job]:
-                mismatches.append(job)
-            if critical_orbit(param, sum(job)) != critical_orbit(a, sum(job)):
-                mismatches.append(("orbit", job))
+            if tower_certificate(param, (2, 2, 2), window) != expected[window]:
+                mismatches.append(window)
+            if critical_orbit(param, window) != critical_orbit(a, window):
+                mismatches.append(("orbit", window))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            param, start = TentParam(a), threading.Barrier(len(jobs))
-            threads = [threading.Thread(target=read, args=(param, job, start)) for job in jobs]
+            param, start = TentParam(a), threading.Barrier(len(windows))
+            threads = [threading.Thread(target=read, args=(param, window, start))
+                       for window in windows]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -483,13 +523,10 @@ def test_consumers_of_one_param_read_one_orbit_in_any_order(a, transient, window
         )
 
     def check_detect_interval_cycle():
-        det = detect_interval_cycle(param, n, transient, window)
-        assert det == detect_interval_cycle(a, n, transient, window)
+        det = detect_interval_cycle(param, n, window)
+        assert det == detect_interval_cycle(a, n, window)
         if det.status == "certified":
-            tail = points[transient:length]
-            for j, hull in enumerate(det.intervals):
-                group = [x for k, x in enumerate(tail, transient) if k % n == j]
-                assert hull == (min(group), max(group))
+            assert_window_hulls(det, points[:window])
 
     def check_zip():
         lead, lag = interval_dynamics._orbit(param, HALF), interval_dynamics._orbit(param, HALF)
@@ -507,42 +544,41 @@ def test_consumers_of_one_param_read_one_orbit_in_any_order(a, transient, window
 
 
 @settings(max_examples=80, deadline=None)
-@example(a=SQRT2, transient=3, window=8, n=2, margin=Fraction(0))
-@example(a=SQRT2, transient=4, window=1, n=1, margin=Fraction(1, 1000))
-@example(a=SQRT2, transient=2, window=8, n=2, margin=Fraction(0))  # 2 - sqrt(2) and sqrt(2) - 1
-@example(a=Fraction(1), transient=0, window=5, n=3, margin=Fraction(1, 1000))
+@example(a=SQRT2, window=8, n=2, margin=Fraction(0))  # hulls touch at 2 - sqrt(2)
+@example(a=SQRT2, window=1, n=1, margin=Fraction(1, 1000))
+@example(a=Fraction(1), window=5, n=3, margin=Fraction(1, 1000))
+@example(a=Fraction(1), window=1, n=2, margin=Fraction(0))
 @given(
     a=st.one_of(slopes(), st.sampled_from([Fraction(0), Fraction(1), Fraction(2), SQRT2])),
-    transient=st.integers(min_value=0, max_value=8),
     window=st.integers(min_value=1, max_value=40),
     n=st.integers(min_value=1, max_value=4),
     margin=st.sampled_from([Fraction(0), Fraction(1, 1000)]),
 )
-def test_degenerate_exactly_when_one_distinct_sample(a, transient, window, n, margin):
-    samples = plain_orbit(a, transient + window)[transient:transient + window]
-    det = detect_interval_cycle(a, n, transient, window, margin)
+def test_degenerate_exactly_when_one_distinct_sample(a, window, n, margin):
+    det = detect_interval_cycle(a, n, window, margin)
     if window < n:
         assert det.status == "inconclusive"
-    else:
-        assert (det.status == "degenerate") == (len(set(samples)) == 1)
+    else:  # the first prefix read is 2n + 1 points, or the window
+        first = plain_orbit(a, min(2 * n + 1, window) - 1)
+        assert (det.status == "degenerate") == (len(set(first)) == 1)
 
 
 @settings(max_examples=60, deadline=None)
-@example(a=PHI, transient=0, window=12)  # a periodic surd orbit through 1/2
+@example(a=PHI, m=12)  # a periodic surd orbit through 1/2
 @given(
     a=st.one_of(slopes(), st.sampled_from([Fraction(0), Fraction(2), SQRT2, PHI])),
-    transient=st.integers(min_value=0, max_value=8),
-    window=st.integers(min_value=1, max_value=40),
+    m=st.integers(min_value=1, max_value=48),
 )
-def test_window_keys_order_the_samples_exactly(a, transient, window):
-    samples = plain_orbit(a, transient + window)[transient:transient + window]
+def test_window_keys_order_the_samples_exactly(a, m):
+    samples = plain_orbit(a, m - 1)
     param = TentParam(a)
-    den, keys = interval_dynamics._window_keys(param, transient, window)
+    den, keys = interval_dynamics._prefix_keys(param, m)
     if not isinstance(param.a, Surd):  # a rational sample's key is its numerator over den
         assert [x * den for x in samples] == keys
     for key, x in zip(keys, samples):
         assert [key < other for other in keys] == [x < y for y in samples]
         assert [key == other for other in keys] == [x == y for y in samples]
+    assert memo_points(param) == m
 
 
 @settings(max_examples=60, deadline=None)
@@ -574,49 +610,142 @@ def test_omega_estimate_rejects_a_start_outside_the_unit_interval():
 # -- differential check against the exact-number detector ------------------------------
 
 
-def reference_detection(a, n, transient, window, margin):
-    """detect_interval_cycle on exact numbers: hulls from min and max over
-    the plain tent_eval orbit, and images from a*x and a*(1 - x)."""
+def reference_detection(a, n, window, margin):
+    """The detector's statement on exact numbers, and how many orbit points
+    it read: hulls of c_0, ..., c_(m-1) by class for m = 2n+1, 3n+1, ...,
+    window, from a plain tent_eval loop, and images from a*x and a*(1 - x)."""
     a = TentParam(a).a
-    tail = plain_orbit(a, transient + window)[transient:transient + window]
-    groups = [[x for k, x in enumerate(tail, transient) if k % n == j] for j in range(n)]
-    same = dict(n=n, transient=transient, window=window, margin=margin)
-    if any(not g for g in groups):
-        return CycleDetection(status="inconclusive", **same)
-    bounds = [(min(g), max(g)) for g in groups]
-    v = bounds[0][0]
-    if all(lo == v and hi == v for lo, hi in bounds):
-        return CycleDetection(status="degenerate", **same)
-    hulls = [(max(lo - margin, Fraction(0)), min(hi + margin, Fraction(1))) for lo, hi in bounds]
-    order = sorted(range(n), key=lambda j: hulls[j][0])
-    for prev, nxt in zip(order, order[1:]):
-        if not hulls[prev][1] < hulls[nxt][0]:
-            return CycleDetection(status="absent", overlap=(prev, nxt), **same)
-    for j, (lo, hi) in enumerate(hulls):
-        if hi <= HALF:
-            img = (a * lo, a * hi)
-        elif lo >= HALF:
-            img = (a * (1 - hi), a * (1 - lo))
+    same = dict(n=n, window=window, margin=margin)
+    if window < n:
+        return CycleDetection(status="inconclusive", **same), 0
+    escape = None
+    for m in [*range(2 * n + 1, window, n), window]:
+        groups = [plain_orbit(a, m - 1)[j::n] for j in range(n)]
+        if len(set().union(*groups)) == 1:
+            return CycleDetection(status="degenerate", **same), m
+        bounds = [(min(g), max(g)) for g in groups]
+        pairs = list(pairwise(sorted(range(n), key=lambda j: bounds[j][0])))
+        for prev, nxt in pairs:
+            if not bounds[prev][1] < bounds[nxt][0]:
+                return CycleDetection(status="absent", overlap=(prev, nxt), **same), m
+        hulls = [(max(lo - margin, Fraction(0)), min(hi + margin, Fraction(1)))
+                 for lo, hi in bounds]
+        escape = None
+        if any(not hulls[prev][1] < hulls[nxt][0] for prev, nxt in pairs):
+            continue
+        for j, (lo, hi) in enumerate(hulls):
+            if hi <= HALF:
+                img = (a * lo, a * hi)
+            elif lo >= HALF:
+                img = (a * (1 - hi), a * (1 - lo))
+            else:
+                img = (min(a * lo, a * (1 - hi)), a * HALF)
+            target = hulls[(j + 1) % n]
+            if img[0] < target[0] or img[1] > target[1]:
+                escape = (j, img, target)
+                break
         else:
-            img = (min(a * lo, a * (1 - hi)), a * HALF)
-        target = hulls[(j + 1) % n]
-        if img[0] < target[0] or img[1] > target[1]:
-            return CycleDetection(status="absent", escape=(j, img, target), **same)
-    return CycleDetection(status="certified", intervals=tuple(hulls), **same)
+            return CycleDetection(status="certified", intervals=tuple(hulls), **same), m
+    return CycleDetection(status="inconclusive", escape=escape, **same), window
 
 
 @settings(max_examples=300, deadline=None)
-@example(a=PHI, n=3, transient=0, window=9, margin=Fraction(0))  # 1/2 recurs in every class 0
-@example(a=SQRT2, n=1, transient=0, window=1, margin=Fraction(0))  # one rational sample
-@example(a=Fraction(11, 10), n=4, transient=1, window=12, margin=Fraction(1, 7))
+@example(a=PHI, n=3, window=9, margin=Fraction(0))  # 1/2 recurs in every class 0
+@example(a=SQRT2, n=1, window=1, margin=Fraction(0))  # one rational point
+@example(a=Fraction(11, 10), n=4, window=12, margin=Fraction(1, 7))
+@example(a=Fraction(13, 10), n=2, window=64, margin=Fraction(1, 1000))  # widened escapes
 @given(
     a=st.one_of(slopes(), st.sampled_from([Fraction(0), Fraction(1), Fraction(2), SQRT2, PHI])),
     n=st.integers(min_value=1, max_value=9),
-    transient=st.integers(min_value=0, max_value=8),
     window=st.integers(min_value=1, max_value=64),
     margin=st.sampled_from([Fraction(0), Fraction(1, 1000), Fraction(1, 7)]),
 )
-def test_detection_matches_the_exact_number_reference(a, n, transient, window, margin):
-    assert detect_interval_cycle(a, n, transient, window, margin) == reference_detection(
-        a, n, transient, window, margin
-    )
+def test_detection_matches_the_exact_number_reference(a, n, window, margin):
+    assert detect_interval_cycle(a, n, window, margin) == reference_detection(
+        a, n, window, margin
+    )[0]
+
+
+# -- the closed-form threshold ----------------------------------------------------------
+# T_a has n = 2^k disjoint intervals cyclically permuted by the map exactly
+# when a^(2^k) <= 2 (Milnor-Thurston; de Melo-van Strien, ch. III). The
+# oracle decides a^e against 2 in integers and shares no code with the
+# package.
+
+
+def sign(v):
+    return (v > 0) - (v < 0)
+
+
+def surd_sign(x, y, r):
+    """Sign of x + y*sqrt(r) for integers x, y and a non-square r."""
+    if not y or sign(x) == sign(y):
+        return sign(x) or sign(y)
+    return sign(x) if x * x > y * y * r else sign(y)
+
+
+def power_minus_two_sign(a, e):
+    """Sign of a^e - 2 for a Fraction or a Surd a and e a power of 2,
+    squaring p + q*sqrt(r) over a common denominator s."""
+    if isinstance(a, Fraction):
+        return sign(a.numerator ** e - 2 * a.denominator ** e)
+    s = a.a.denominator * a.b.denominator
+    x, y, k = int(a.a * s), int(a.b * s), 1
+    while k < e:
+        x, y, k = x * x + y * y * a.r, 2 * x * y, 2 * k
+    return surd_sign(x - 2 * s ** e, y, a.r)
+
+
+def test_threshold_oracle():
+    assert power_minus_two_sign(SQRT2, 2) == 0
+    assert power_minus_two_sign(SQRT2, 4) == 1
+    assert power_minus_two_sign(Fraction(1101, 1000), 2) == -1
+    assert power_minus_two_sign(Fraction(1101, 1000), 8) == 1  # 1.101^8 = 2.16
+    assert power_minus_two_sign(Fraction(13, 10), 2) == -1
+    assert power_minus_two_sign(Fraction(13, 10), 4) == 1
+    assert power_minus_two_sign(parse_exact("(12-2*sqrt(5))/7"), 8) == -1
+    assert power_minus_two_sign(parse_exact("(3-sqrt(2))/1"), 2) == 1  # 2.52
+
+
+@st.composite
+def near_thresholds(draw):
+    """A slope in (1, 2] near 2^(1/2^k) for k = 1...4, on either side,
+    rational or a surd in sqrt(2), sqrt(3) or sqrt(5). Floats only place
+    it; the oracle decides which side it is on."""
+    n = 2 ** draw(st.integers(min_value=1, max_value=4))
+    distance = draw(st.integers(min_value=1, max_value=10**4)) / 10**6
+    target = 2 ** (1 / n) * (1 + draw(st.sampled_from([-1, 1])) * distance)
+    if draw(st.booleans()):
+        s = draw(st.integers(min_value=10, max_value=10**9))
+        a = Fraction(round(s * target), s)
+    else:
+        r = draw(st.sampled_from([2, 3, 5]))
+        q = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+        s = draw(st.integers(min_value=2, max_value=10**6))
+        a = surd(Fraction(round(s * target - q * r ** 0.5), s), Fraction(q, s), r)
+    assume(1 < a <= 2)
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@example(a=SQRT2)  # a^2 = 2: the hulls touch
+@example(a=Fraction(1101, 1000))
+@given(a=near_thresholds())
+def test_certified_exactly_below_the_threshold(a):
+    cert = tower_certificate(a, (2, 2, 2, 2))
+    for size, level in zip(cert.sizes, cert.levels):
+        below = power_minus_two_sign(a, size) < 0
+        assert (level.status == "certified") == below, (size, level.status)
+        # within the default window every level decides
+        assert level.status == ("certified" if below else "absent"), (size, level.status)
+
+
+def test_tower_memo_holds_at_most_the_window():
+    # levels read the prefixes they need and share the orbit memo only
+    param = TentParam(Fraction(13, 10))
+    cert = tower_certificate(param, (2, 2, 2), window=64)
+    assert [level.status for level in cert.levels] == ["certified", "absent", "absent"]
+    assert memo_points(param) <= 64
+    param = TentParam(Fraction(1101, 1000))
+    assert tower_certificate(param, (2, 2, 2), window=4096).deepest_certified == 2
+    assert memo_points(param) <= 2 * 8 + 1
