@@ -5,39 +5,32 @@ T_a(x) = a*x for x < 1/2 and a*(1-x) for x >= 1/2, with slope a in
 orbits, kneading symbols, and interval endpoints are all exact; cycles
 are detected by exact equality, never by closeness.
 
-Orbits are walked in integers. With the slope written as the triple
-(p + q*sqrt(r))/s of exactnum (q = 0 for a rational p/s in lowest
-terms), a point is a triple (P + Q*sqrt(r))/D with D > 0 and one step
-is
+Orbits handed out point by point (critical_orbit, omega_limit_estimate)
+step exact numbers with that formula from their first point on. For a
+rational slope p/s and a rational point N/D, Fraction arithmetic
+reduces a*x by gcd(p, D) and gcd(N, s), gcds against the short p and s,
+and 1 - x needs none, so each point costs time linear in its bits. A
+surd step reduces its triple with one gcd (exactnum._reduced).
+
+The kneading symbols and the interval-cycle detector read the critical
+orbit (the orbit of 1/2) in integers instead. With the slope written as
+the triple (p + q*sqrt(r))/s of exactnum (q = 0 for a rational p/s in
+lowest terms), a point is a triple (P + Q*sqrt(r))/D with D > 0 and one
+step is
 
     x < 1/2:   (p*P + q*Q*r, p*Q + q*P, s*D)
     x >= 1/2:  (p*E - q*Q*r, q*E - p*Q, s*D)   with E = D - P,
 
-where x < 1/2 is _sign(2P - D, 2Q, r) < 0. _walk is that loop and the
-module's one orbit walk; a Fraction or Surd is built from a triple only
-where a caller needs an exact number.
+where x < 1/2 is _sign(2P - D, 2Q, r) < 0. _walk is that loop.
 
-On the critical orbit of a rational slope the walk keeps numerators
-alone: the k-th point is P_k/(2*s^k), never reduced, because reducing
-could only remove one factor 2. Proof: gcd(p, s) = 1 and P_0 = 1. If
-gcd(P_k, s) = 1, then P_{k+1} is p*P_k or p*(2*s^k - P_k), and for
-k >= 1 the latter is -p*P_k modulo every prime of s (for k = 0 it is
-p). So every P_k is coprime to s, the only prime P_k and 2*s^k can share
-is 2, and they share 4 only if s is even, which makes P_k odd. Hence
-gcd(P_k, 2*s^k) is 1 or 2, and a gcd per step would buy at most one bit.
-
-Any other rational orbit of a rational slope is walked in reduced
-pairs (P, D) and reduced with two short gcds. If gcd(P, D) = 1, the
-step to p*P/(s*D) has gcd(p*P, s*D) = gcd(p, D)*gcd(P, s). Proof, one
-prime l at a time, with v the power of l in a number: l divides at most
-one of p and s, as gcd(p, s) = 1, and at most one of P and D. If it
-divides neither p nor P, or neither s nor D, both sides have no l. If
-l divides p, it does not divide s, so it divides D and not P, and both
-sides hold min(v(p), v(D)) factors l; if l divides P, then likewise
-min(v(P), v(s)). The step x >= 1/2 replaces P by E = D - P, and
-gcd(E, D) = gcd(P, D) = 1, so the same formula holds with E for P. Each
-gcd has the short p or s as an argument, so it costs time linear in the
-bits of the other.
+For a rational slope the walk keeps numerators alone: the k-th point
+is P_k/(2*s^k), never reduced, because reducing could only remove one
+factor 2. Proof: gcd(p, s) = 1 and P_0 = 1. If gcd(P_k, s) = 1, then
+P_{k+1} is p*P_k or p*(2*s^k - P_k), and for k >= 1 the latter is
+-p*P_k modulo every prime of s (for k = 0 it is p). So every P_k is
+coprime to s, the only prime P_k and 2*s^k can share is 2, and they
+share 4 only if s is even, which makes P_k odd. Hence gcd(P_k, 2*s^k)
+is 1 or 2, and a gcd per step would buy at most one bit.
 
 A surd walk reduces each step with one gcd(P, Q, D), which keeps its
 triples canonical (equal values, equal triples) and short: without it a
@@ -45,36 +38,21 @@ periodic orbit would carry a common factor that grows with every step.
 The golden mean (1+sqrt(5))/2 returns to 1/2 every three steps while
 s^k = 2^k grows.
 
-Each TentParam keeps the walked prefix of its critical orbit (the orbit
-of 1/2) in integer form, in one flat list: numerators for a rational
-slope, whose denominators 2*s^k follow from the index, and P, Q, D of
-each reduced triple in turn for a surd slope, with no tuple per point.
-_critical walks it on and hands out its points: kneading_sequence and
-detect_interval_cycle read the integers directly, and _orbit builds
-from them the exact numbers that critical_orbit and omega_limit_estimate
-use. So the levels of one tower_certificate, or any other consumers
-handed the same TentParam, share one walk. Readers may interleave, even
-from two threads: an extension only stores entries that follow from the
-last one, and the memo never shrinks, so a racing extension rewrites
-equal values. The memo lives exactly as long as its
+Each TentParam keeps the walked prefix of its critical orbit in integer
+form, in one flat list: numerators for a rational slope, whose
+denominators 2*s^k follow from the index, and P, Q, D of each reduced
+triple in turn for a surd slope, with no tuple per point. _critical
+walks it on and hands its integers to kneading_sequence and
+detect_interval_cycle, so the levels of one tower_certificate, or any
+other consumers handed the same TentParam, share one walk. Readers may
+interleave, even from two threads: an extension only stores entries
+that follow from the last one, and the memo never shrinks, so a racing
+extension rewrites equal values. The memo lives exactly as long as its
 TentParam: public functions given a raw slope build a fresh TentParam,
 so every call with an equal slope value walks the orbit again. Nothing
 is cached across calls (no module-level table, no lru_cache), because a
 process-wide cache would grow with every slope ever seen and would only
 pay off for repeated identical calls, which a CLI run never makes.
-Orbits of other points (omega_limit_estimate from y != 1/2) run the
-same walk without a memo, in reduced pairs or triples.
-
-_orbit builds no exact number for a point before the first one it hands
-out, so omega_limit_estimate builds none for a point of its transient.
-From there a rational orbit of a rational slope a = p/s steps Fractions
-from one another, a*x or a*(1 - x): Fraction arithmetic
-reduces a product by gcd(p, D) and gcd(N, s) for x = N/D, gcds against
-the short p and s, and 1 - x needs none, so each point costs time
-linear in its bits. A Fraction built from the walk would run a full gcd
-of two long integers, quadratic in their bits, though on the critical
-orbit the gcd is known to be 1 or 2. A surd orbit builds every point
-from its walk's reduced triple.
 
 The renormalization detector looks for closed intervals J_1, ..., J_n,
 pairwise disjoint, with T(J_j) inside J_(j+1) and T(J_n) inside J_1
@@ -117,10 +95,10 @@ only; widened hulls that meet or escape make the prefix grow, since a
 widened overlap proves nothing. When every point read is 1/2 (a = 1,
 or a window of one point) all hulls are that point, and the status is
 "degenerate". The levels of one tower share the critical-orbit memo
-and nothing else, and it never holds more than the window's points. The class hulls are min and max over plain integer
-keys of the prefix (_prefix_keys); only their 2n endpoints become exact
-numbers, and the images of the hulls are read off tent_eval at their
-ends.
+and nothing else, and it never holds more than the window's points.
+The class hulls are min and max over plain integer keys of the prefix
+(_prefix_keys); only their 2n endpoints become exact numbers, and the
+images of the hulls are read off tent_eval at their ends.
 """
 
 from __future__ import annotations
@@ -152,8 +130,9 @@ class TentParam:
 
     _kernel is the slope as integers (p, q, s, r), with q = r = 0 for a
     rational p/s, and _critical the walked prefix of the critical orbit
-    in integer form (see the module docstring). Neither takes part in
-    equality, hashing or repr.
+    in integer form, which kneading_sequence and detect_interval_cycle
+    read (see the module docstring). Neither takes part in equality,
+    hashing or repr.
     """
 
     a: ExactNumber
@@ -192,29 +171,21 @@ def tent_eval(a, x) -> ExactNumber:
     return a * (1 - x)
 
 
-def _walk(param: TentParam, P: int, Q: int | None, D: int, r: int):
-    """Yield T(x), T(T(x)), ... for x = (P + Q*sqrt(r))/D in [0, 1], D > 0.
+def _walk(param: TentParam, P: int, Q: int | None, D: int):
+    """Yield the critical-orbit points after x = (P + Q*sqrt(r))/D in
+    integer form (see the module docstring).
 
-    Each point is a triple (P, Q, D) reduced by gcd(P, Q, D). With
-    Q = None the slope and x are rational and x is a critical point
-    P_k/(2*s^k): each point is then its numerator alone, over s times
-    the previous denominator, and nothing is reduced. With Q = 0 and a
-    rational slope, P/D must be in lowest terms, and each step reduces
-    by gcd(p, D)*gcd(P, s) (see the module docstring).
+    For a rational slope Q is None and x is the critical point
+    P/(2*s^k), D = 2*s^k: each point is then its numerator alone, over s
+    times the previous denominator, and nothing is reduced. For a surd
+    slope each point is a triple (P, Q, D) reduced by gcd(P, Q, D).
     """
-    p, q, s, _ = param._kernel
+    p, q, s, r = param._kernel
     if Q is None:
         while True:
             P = p * P if 2 * P < D else p * (D - P)
             D *= s
             yield P
-    if not q and not Q:
-        while True:
-            if 2 * P >= D:
-                P = D - P
-            g = gcd(p, D) * gcd(P, s)
-            P, D = p * P // g, s * D // g
-            yield P, 0, D
     while True:
         if _sign(2 * P - D, 2 * Q, r) < 0:
             P, Q = p * P + q * Q * r, p * Q + q * P
@@ -234,13 +205,13 @@ def _critical(param: TentParam, start: int, stop: int) -> list:
     it is shorter. A surd memo is flat, P, Q, D after one another, so it
     holds no tuple per point."""
     memo = param._critical
-    _, q, s, r = param._kernel
+    _, q, s, _ = param._kernel
     width = 3 if q else 1
     k = len(memo) // width
     if k < stop:
         # point k - 1 by its index: a racing reader may have walked on since
         last = tuple(memo[3 * k - 3:3 * k]) if q else (memo[k - 1], None, 2 * s ** (k - 1))
-        steps = islice(_walk(param, *last, r), stop - k)
+        steps = islice(_walk(param, *last), stop - k)
         new = list(chain.from_iterable(steps) if q else steps)
         # one assignment that runs no Python code, so a racing reader sees
         # the memo before or after it; one that got further first finds
@@ -253,44 +224,24 @@ def _critical(param: TentParam, start: int, stop: int) -> list:
 
 
 def _orbit(param: TentParam, x, start: int = 0):
-    """Yield points start, start + 1, ... of the orbit x, T(x), T(T(x)), ...
-    as exact numbers.
+    """Yield points start, start + 1, ... of the orbit x, T(x), T(T(x)), ...,
+    each stepped from the last as a*x or a*(1 - x).
 
     x is checked against [0, 1] once: T_a maps [0, 1] into [0, a/2] and
-    a <= 2, so every later point lies there too. Points before start
-    are walked in integers only. A rational orbit of a rational slope
-    then steps Fractions from point start on (see the module docstring);
-    a surd orbit builds each point from the integer walk, from HALF out
-    of param's critical-orbit memo, which a reader walks one point
-    further whenever it reaches the end.
+    a <= 2, so every later point lies there too. A surd x must share the
+    slope's radicand, and that is checked up front as well, since no
+    step runs when only x is asked for.
     """
     if x < 0 or x > 1:
         raise InputError(f"point {format_exact(x)} outside [0, 1]")
-    _, q, s, r = param._kernel
-    if isinstance(x, Surd):
-        if r and x.r != r:
-            raise ExactnessError(f"cannot combine sqrt({r}) with sqrt({x.r}) exactly")
-        P, Q, D, r = x._p, x._q, x._s, x.r
-    else:
-        P, Q, D = x.numerator, 0, x.denominator
-    if not q and not Q:
-        if start and x == HALF:  # a numerator over 2*s^start
-            x = Fraction(_critical(param, start, start + 1)[0], 2 * s ** start)
-        elif start:
-            P, _, D = next(islice(_walk(param, P, 0, D, r), start - 1, None))
-            x = Fraction(P, D)
-        a = param.a
-        while True:
+    r = param._kernel[3]
+    if r and isinstance(x, Surd) and x.r != r:
+        raise ExactnessError(f"cannot combine sqrt({r}) with sqrt({x.r}) exactly")
+    a = param.a
+    for k in count():
+        if k >= start:
             yield x
-            x = a * x if x < HALF else a * (1 - x)
-    if not start:
-        yield x
-    if x != HALF:
-        for P, Q, D in islice(_walk(param, P, Q, D, r), max(start - 1, 0), None):
-            yield _reduced(P, Q, D, r)
-    else:
-        for k in count(max(start, 1)):
-            yield _reduced(*_critical(param, k, k + 1)[0], r)
+        x = a * x if x < HALF else a * (1 - x)
 
 
 @dataclass(frozen=True)
@@ -487,7 +438,9 @@ def detect_interval_cycle(a, n: int, window: int = 64, margin=0) -> CycleDetecti
     first prefix, and past it for a length that at least doubles each
     time, so a window of escapes costs O(window) keys, not
     O(window^2 / n); the walk may then read up to twice the points of
-    the prefix that decides, never more than the window.
+    the prefix that decides, never more than the window. A prefix whose
+    key hulls equal the last prefix's under the same keys has that
+    prefix's verdict, which did not decide, so it is skipped.
     """
     a = _slope(a)
     margin = _coerce(margin)
@@ -505,7 +458,11 @@ def detect_interval_cycle(a, n: int, window: int = 64, margin=0) -> CycleDetecti
         if m > length:  # keys of a longer prefix order this one's points too
             length = min(window, max(m, 2 * length))
             den, keys = _prefix_keys(a, length)
+            last = None  # keys of another length are scaled differently
         bounds = [(min(g), max(g)) for g in (keys[j:m:n] for j in range(n))]
+        if bounds == last:
+            continue  # the same hulls as the last prefix, which did not decide
+        last = bounds
         v = bounds[0][0]
         if all(lo == v and hi == v for lo, hi in bounds):
             return CycleDetection(n=n, status="degenerate", window=window, margin=margin)

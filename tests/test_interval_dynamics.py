@@ -269,6 +269,25 @@ def test_detect_cycle_margin_can_break_tight_certificates():
     assert d.status == "absent" and d.overlap == (0, 1)
 
 
+def test_detect_cycle_skips_prefixes_whose_hulls_did_not_move(monkeypatch):
+    # the widened 13/10 escape runs the whole window of 511 prefixes, but
+    # its hulls change only when the keys are rebuilt, so images are read
+    # at most once per key build: at most 3 tent_eval calls per hull
+    calls = {"tent_eval": 0, "_prefix_keys": 0}
+    for name in calls:
+        original = getattr(interval_dynamics, name)
+
+        def counting(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(interval_dynamics, name, counting)
+    n = 2
+    d = detect_interval_cycle(Fraction(13, 10), n, 1024, Fraction(1, 1000))
+    assert d.status == "inconclusive" and d.escape is not None
+    assert 0 < calls["tent_eval"] <= 3 * n * calls["_prefix_keys"]
+
+
 def test_detect_cycle_validation():
     with pytest.raises(InputError):
         detect_interval_cycle(Fraction(13, 10), 0)
@@ -584,6 +603,7 @@ def test_window_keys_order_the_samples_exactly(a, m):
 @settings(max_examples=60, deadline=None)
 @example(a=Fraction(3, 2), y=SQRT2 - 1, transient=3, window=6)  # a rational slope, a surd point
 @example(a=SQRT2, y=Fraction(1, 3), transient=0, window=8)
+@example(a=parse_exact("sqrt(3)"), y=SQRT2 - 1, transient=0, window=1)  # no step runs
 @given(
     a=st.one_of(slopes(), st.sampled_from([Fraction(0), Fraction(2), SQRT2])),
     y=st.one_of(st.fractions(min_value=0, max_value=1, max_denominator=50),
