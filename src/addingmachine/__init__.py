@@ -35,15 +35,12 @@ from .finite_ifs import (
     MinimalSetReport,
     NMSet,
     canonical_cover,
-    compose,
     has_shadowing,
-    image_of_set,
     is_minimal,
     is_sensitive,
     minimal_sets,
     nm_set,
     periodic_points,
-    power_system,
     regularly_recurrent_points,
     rotation_system,
     spectrum,
@@ -88,9 +85,9 @@ __all__ = [
     "INFINITY", "BaseSequence", "OdometerPoint", "PrimeMultiplicity",
     "add", "as_residue", "distance", "from_residue", "odometers_conjugate",
     "prime_multiplicity", "successor",
-    "FiniteIFS", "MinimalSetReport", "NMSet", "canonical_cover", "compose",
-    "has_shadowing", "image_of_set", "is_minimal", "is_sensitive",
-    "minimal_sets", "nm_set", "periodic_points", "power_system",
+    "FiniteIFS", "MinimalSetReport", "NMSet", "canonical_cover",
+    "has_shadowing", "is_minimal", "is_sensitive",
+    "minimal_sets", "nm_set", "periodic_points",
     "regularly_recurrent_points", "rotation_system", "spectrum",
     "tables_of_length",
     "format_ifs", "load_ifs", "parse_ifs",

@@ -82,46 +82,38 @@ def _cmd_odometer(args) -> int:
 # -- ifs ----------------------------------------------------------------------
 
 
-def _certificate_lines(F):
-    """Tower, digit and equivariance lines, with the objects behind them."""
-    tower = conjugacy.max_tower(F)
-    fm = conjugacy.build_factor_map(F, tower)
-    report = conjugacy.verify_equivariance(F, fm)
-    sizes = " ".join(str(tower.size(i)) for i in range(1, tower.depth + 1))
-    out = [f"tower: {' '.join(map(str, tower.primes)) or '(trivial)'}"
-           + (f" (sizes {sizes})" if tower.depth else "")]
-    for i in range(1, tower.depth + 1):
-        blocks = " ".join(_fmt_block(b) for b in tower.levels[i - 1])
-        out.append(f"level {i}: {blocks}")
-    out.append("digits:")
-    for x in F.states:
-        vector = ",".join(map(str, fm.digits[x])) if fm.depth else "-"
-        out.append(f"{x} -> {vector}")
-    for label, ok in report.per_label:
-        out.append(f"equivariance {label}: {'PASS' if ok else 'FAIL'}")
-    return out, tower, fm, report
-
-
 def _cmd_ifs(args) -> int:
+    """`ifs analyze` and `ifs verify` as one pass.
+
+    In order: the header (analyze adds its bound and horizon), one
+    minimality guard, analyze's spectrum and covers, the certificate
+    (tower, digits, equivariance), one recurrence and injectivity check
+    at the horizon, then verify's counterexample, base check and verdict.
+    """
     F = load_ifs(args.file)
+    analyze = args.op == "analyze"
     lines = [
         f"# ifs {args.op}",
         f"# input: {args.file}",
         f"# states: {F.n_states}",
         f"# labels: {' '.join(F.labels)}",
     ]
-    if args.op == "analyze":
+    horizon = F.n_states ** 2
+    if analyze:
         bound = args.bound if args.bound is not None else F.n_states
-        horizon = args.horizon if args.horizon is not None else F.n_states ** 2
+        horizon = args.horizon if args.horizon is not None else horizon
         if bound < 1 or horizon < 1:
             raise InputError("bound and horizon must be >= 1")
         lines.append(f"# bound: {bound}")
         lines.append(f"# horizon: {horizon}")
-        if not finite_ifs.is_minimal(F):
-            lines.append("minimal: no")
-            lines.append(f"periodic: {_fmt_states(finite_ifs.periodic_points(F))}")
-            _emit("\n".join(lines) + "\n", args.output)
-            return 0
+    if not finite_ifs.is_minimal(F):
+        if not analyze:
+            raise InputError("verification needs a minimal system")
+        lines.append("minimal: no")
+        lines.append(f"periodic: {_fmt_states(finite_ifs.periodic_points(F))}")
+        _emit("\n".join(lines) + "\n", args.output)
+        return 0
+    if analyze:
         lines.append("minimal: yes")
         spectrum = finite_ifs.spectrum(F, bound)
         lines.append(f"spectrum: {' '.join(map(str, spectrum.members))}")
@@ -132,25 +124,31 @@ def _cmd_ifs(args) -> int:
                 lines.append(f"cover[{n}]: {blocks}")
             except NoCanonicalCoverError as exc:
                 lines.append(f"cover[{n}]: none ({exc.reason})")
-        certificate, _, fm, report = _certificate_lines(F)
-        lines.extend(certificate)
-        rr = finite_ifs.regularly_recurrent_points(F, horizon)
+    tower = conjugacy.max_tower(F)
+    fm = conjugacy.build_factor_map(F, tower)
+    report = conjugacy.verify_equivariance(F, fm)
+    sizes = " ".join(str(tower.size(i)) for i in range(1, tower.depth + 1))
+    lines.append(f"tower: {' '.join(map(str, tower.primes)) or '(trivial)'}"
+                 + (f" (sizes {sizes})" if tower.depth else ""))
+    for i in range(1, tower.depth + 1):
+        blocks = " ".join(_fmt_block(b) for b in tower.levels[i - 1])
+        lines.append(f"level {i}: {blocks}")
+    lines.append("digits:")
+    for x in F.states:
+        vector = ",".join(map(str, fm.digits[x])) if fm.depth else "-"
+        lines.append(f"{x} -> {vector}")
+    for label, ok in report.per_label:
+        lines.append(f"equivariance {label}: {'PASS' if ok else 'FAIL'}")
+    rr = finite_ifs.regularly_recurrent_points(F, horizon)
+    injective = conjugacy.injectivity_on_regularly_recurrent(F, fm, rr)
+    failed = not report.passed
+    if analyze:
         lines.append(f"recurrent: {_fmt_states(rr) if rr else '(none)'}")
-        injective = conjugacy.injectivity_on_regularly_recurrent(F, fm, rr)
         lines.append(f"injective on recurrent: {'yes' if injective else 'no'}")
-        _emit("\n".join(lines) + "\n", args.output)
-        return 0 if report.passed else 2
-    if args.op == "verify":
-        if not finite_ifs.is_minimal(F):
-            raise InputError("verification needs a minimal system")
-        certificate, tower, fm, report = _certificate_lines(F)
-        lines.extend(certificate)
-        failed = not report.passed
+    else:
         if report.witness is not None:
             label, x = report.witness
             lines.append(f"counterexample: label {label} at state {x}")
-        rr = finite_ifs.regularly_recurrent_points(F)
-        injective = conjugacy.injectivity_on_regularly_recurrent(F, fm, rr)
         lines.append(
             f"injective on recurrent: {'yes' if injective else 'no'}"
             f" ({len(rr)} state{'s' if len(rr) != 1 else ''})"
@@ -164,9 +162,8 @@ def _cmd_ifs(args) -> int:
             lines.append(f"base check: FAIL ({exc})")
             failed = True
         lines.append(f"verdict: {'FAIL' if failed else 'PASS'}")
-        _emit("\n".join(lines) + "\n", args.output)
-        return 2 if failed else 0
-    raise InputError(f"unknown ifs operation {args.op!r}")
+    _emit("\n".join(lines) + "\n", args.output)
+    return 2 if failed else 0
 
 
 # -- tent ---------------------------------------------------------------------
@@ -211,39 +208,33 @@ def _cmd_tent(args) -> int:
             f"# a = {format_exact(interval_dynamics.TentParam(a).a)}",
             f"# transient = {args.transient}, window = {args.window}, margin = {args.margin}",
         ]
-        if args.primes:
-            primes = _parse_primes(args.primes)
-            cert = interval_dynamics.tower_certificate(
-                a, primes, window=args.window, margin=parse_exact(args.margin)
-            )
-            lines = ["# tent tower"] + header
-            lines.append(f"# primes = {','.join(map(str, primes))}")
-            for size, det in zip(cert.sizes, cert.levels):
-                lines.append(f"level size {size}: {det.status}")
-            lines.append(f"deepest certified: {cert.deepest_certified}")
-            lines.append(f"note: {cert.disclaimer}")
-            print("\n".join(lines))
-            return 0
-        if args.n is None:
+        primes = _parse_primes(args.primes) if args.primes else None
+        if primes is None and args.n is None:
             raise InputError("tent cycle needs --n or --primes")
-        det = interval_dynamics.detect_interval_cycle(
-            a, args.n, window=args.window, margin=parse_exact(args.margin)
-        )
-        lines = ["# tent cycle"] + header
-        lines.append(f"# n = {args.n}")
-        lines.append(f"status: {det.status}")
-        if det.status == "certified":
-            for j, iv in enumerate(det.intervals):
-                lines.append(f"I[{j}] = {_fmt_interval(iv)}")
-        elif det.overlap is not None:
-            j1, j2 = det.overlap
-            lines.append(f"overlap: class {j1} and class {j2}")
-        elif det.escape is not None:
-            j, img, target = det.escape
-            lines.append(
-                f"escape: T(I[{j}]) = {_fmt_interval(img)} not inside "
-                f"I[{(j + 1) % args.n}] = {_fmt_interval(target)}"
-            )
+        sizes, levels, deepest = _certify(a, primes, args.n, args.window, parse_exact(args.margin))
+        lines = [f"# tent {'cycle' if primes is None else 'tower'}"] + header
+        if primes is not None:
+            lines.append(f"# primes = {','.join(map(str, primes))}")
+            for size, det in zip(sizes, levels):
+                lines.append(f"level size {size}: {det.status}")
+            lines.append(f"deepest certified: {deepest}")
+            lines.append(f"note: {interval_dynamics.DISCLAIMER}")
+        else:
+            det, = levels
+            lines.append(f"# n = {args.n}")
+            lines.append(f"status: {det.status}")
+            if det.status == "certified":
+                for j, iv in enumerate(det.intervals):
+                    lines.append(f"I[{j}] = {_fmt_interval(iv)}")
+            elif det.overlap is not None:
+                j1, j2 = det.overlap
+                lines.append(f"overlap: class {j1} and class {j2}")
+            elif det.escape is not None:
+                j, img, target = det.escape
+                lines.append(
+                    f"escape: T(I[{j}]) = {_fmt_interval(img)} not inside "
+                    f"I[{(j + 1) % args.n}] = {_fmt_interval(target)}"
+                )
         print("\n".join(lines))
         return 0
     if args.op == "sweep":
@@ -263,23 +254,24 @@ def _cmd_tent(args) -> int:
         primes = _parse_primes(args.primes) if args.primes else None
         a = start
         while a <= stop:
-            if primes is not None:
-                cert = interval_dynamics.tower_certificate(
-                    a, primes, window=args.window, margin=margin
-                )
-                sizes, levels, deepest = cert.sizes, cert.levels, cert.deepest_certified
-            else:  # one level of size n, reported like a one-level tower
-                det = interval_dynamics.detect_interval_cycle(
-                    a, args.n, window=args.window, margin=margin
-                )
-                sizes, levels, deepest = (args.n,), (det,), int(det.status == "certified")
+            sizes, levels, deepest = _certify(a, primes, args.n, args.window, margin)
             certified = [str(size) for size, lv in zip(sizes, levels) if lv.status == "certified"]
             status = "certified" if deepest == len(sizes) else levels[deepest].status
             rows.append(f"{format_exact(a)},{deepest},{';'.join(certified)},{status}")
             a = a + step
-        _emit("\n".join(rows) + "\n", getattr(args, "output", None))
+        _emit("\n".join(rows) + "\n", args.output)
         return 0
     raise InputError(f"unknown tent operation {args.op!r}")
+
+
+def _certify(a, primes, n, window, margin):
+    """(sizes, levels, deepest certified) of the tower certificate for
+    primes, or, when primes is None, of one level of size n."""
+    if primes is not None:
+        cert = interval_dynamics.tower_certificate(a, primes, window=window, margin=margin)
+        return cert.sizes, cert.levels, cert.deepest_certified
+    det = interval_dynamics.detect_interval_cycle(a, n, window=window, margin=margin)
+    return (n,), (det,), int(det.status == "certified")
 
 
 def _check_transient(transient: int) -> None:
@@ -345,22 +337,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p_kn = tent_ops.add_parser("kneading", help="symbol sequence of the critical orbit")
     p_kn.add_argument("--a", required=True)
     p_kn.add_argument("--length", type=int, required=True)
-    p_cy = tent_ops.add_parser("cycle", help="interval cycle certificate")
+    # the certificate options cycle and sweep share; --n and --primes
+    # each pick the levels, so they exclude each other
+    cert = argparse.ArgumentParser(add_help=False)
+    levels = cert.add_mutually_exclusive_group()
+    levels.add_argument("--n", type=int, default=None, help="cycle length to certify")
+    levels.add_argument("--primes", default=None, help="comma-separated level factors, e.g. 2,2")
+    cert.add_argument("--transient", type=int, default=0, help="accepted, no effect")
+    cert.add_argument("--window", type=int, default=64, help="critical-orbit points to read at most")
+    cert.add_argument("--margin", default="0")
+    p_cy = tent_ops.add_parser("cycle", parents=[cert], help="interval cycle certificate")
     p_cy.add_argument("--a", required=True)
-    p_cy.add_argument("--n", type=int, default=None, help="cycle length to certify")
-    p_cy.add_argument("--primes", default=None, help="comma-separated level factors, e.g. 2,2")
-    p_cy.add_argument("--transient", type=int, default=0, help="accepted, no effect")
-    p_cy.add_argument("--window", type=int, default=64, help="critical-orbit points to read at most")
-    p_cy.add_argument("--margin", default="0")
-    p_sw = tent_ops.add_parser("sweep", help="CSV of certificates over a slope range")
+    p_sw = tent_ops.add_parser("sweep", parents=[cert], help="CSV of certificates over a slope range")
     p_sw.add_argument("--from", dest="start", required=True)
     p_sw.add_argument("--to", dest="stop", required=True)
     p_sw.add_argument("--step", required=True)
-    p_sw.add_argument("--n", type=int, default=None)
-    p_sw.add_argument("--primes", default=None)
-    p_sw.add_argument("--transient", type=int, default=0, help="accepted, no effect")
-    p_sw.add_argument("--window", type=int, default=64, help="critical-orbit points to read at most")
-    p_sw.add_argument("--margin", default="0")
     p_sw.add_argument("--output", default=None)
     return parser
 

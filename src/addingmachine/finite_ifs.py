@@ -97,7 +97,6 @@ fixes a state exactly when N divides L.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -235,44 +234,7 @@ def rotation_system(m: int, shifts: Sequence[int], metric=None) -> FiniteIFS:
     return FiniteIFS(tables, metric=metric)
 
 
-# -- words and powers ------------------------------------------------------
-
-
-def compose(F: FiniteIFS, word: Sequence[str]) -> Table:
-    """Table of the word's action, first letter applied first."""
-    word = tuple(word)
-    if not word:
-        raise InputError("word must be nonempty")
-    current = F.table(word[0])
-    for label in word[1:]:
-        nxt = F.table(label)
-        current = tuple(nxt[v] for v in current)
-    return current
-
-
-def image_of_set(F: FiniteIFS, A: Iterable[int]) -> frozenset[int]:
-    """Union of f_label(A) over all labels."""
-    A = frozenset(A)
-    for x in A:
-        if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < F.n_states:
-            raise InputError(f"state {x!r} outside 0..{F.n_states - 1}")
-    return frozenset(t[x] for t in F._tables for x in A)
-
-
-def power_system(F: FiniteIFS, k: int) -> FiniteIFS:
-    """The system whose maps are the distinct length-k word actions.
-
-    Labels are the constituent labels joined by commas; when several
-    words share a table, the first word in label order names it.
-    """
-    if k < 1:
-        raise InputError(f"power must be >= 1, got {k}")
-    tables: dict[Table, str] = {}
-    for word in itertools.product(F.labels, repeat=k):
-        t = compose(F, word)
-        if t not in tables:
-            tables[t] = ",".join(word)
-    return FiniteIFS([(name, t) for t, name in tables.items()], metric=F.metric)
+# -- words -----------------------------------------------------------------
 
 
 def _word_layers(F: FiniteIFS, limit: int):

@@ -315,9 +315,6 @@ class PrimeMultiplicity:
     def as_dict(self) -> dict:
         return dict(self.counts)
 
-    def multiplicity(self, p: int):
-        return dict(self.counts).get(p, 0)
-
     def support(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.counts)
 

@@ -299,6 +299,77 @@ def test_ifs_verify_non_bijective(capsys, squeeze3):
         """)
 
 
+# minimal and not bijective; the spectrum holds a prime that no tower
+# level carries, and on FOLD4 two recurrent states share their digits
+FOLD4_TEXT = "states: 0 1 2 3\nlabel a: 1 2 0 0\nlabel b: 1 3 0 0\n"
+FOLD3_TEXT = "states: 0 1 2\nlabel a: 1 0 0\nlabel b: 2 0 0\n"
+
+
+def _trivial_certificate(n):
+    digits = "".join(f"{x} -> -\n" for x in range(n))
+    return ("tower: (trivial)\ndigits:\n" + digits
+            + "equivariance a: PASS\nequivariance b: PASS\n")
+
+
+def _header(op, path, n):
+    return f"# ifs {op}\n# input: {path}\n# states: {n}\n# labels: a b\n"
+
+
+def test_ifs_verify_fails_on_injectivity_and_base_check(capsys, tmp_path):
+    p = tmp_path / "fold4.ifs"
+    p.write_text(FOLD4_TEXT)
+    code, out, _ = run(capsys, "ifs", "verify", str(p))
+    assert code == 2
+    assert out == _header("verify", p, 4) + _trivial_certificate(4) + dedent("""\
+        injective on recurrent: no (2 states)
+        base check: FAIL (tower gives 3^0 but the power spectrum supports 3^1)
+        verdict: FAIL
+        """)
+
+
+def test_ifs_analyze_reports_a_non_injective_recurrent_set(capsys, tmp_path):
+    p = tmp_path / "fold4.ifs"
+    p.write_text(FOLD4_TEXT)
+    code, out, _ = run(capsys, "ifs", "analyze", str(p))
+    assert code == 0
+    assert out == _header("analyze", p, 4) + dedent("""\
+        # bound: 4
+        # horizon: 16
+        minimal: yes
+        spectrum: 1 3
+        cover[1]: none (0 minimal sets, expected 1)
+        cover[3]: none (2 minimal sets, expected 3)
+        """) + _trivial_certificate(4) + dedent("""\
+        recurrent: 0 1
+        injective on recurrent: no
+        """)
+
+
+def test_ifs_verify_base_check_fails_on_a_spectrum_prime_without_a_level(capsys, tmp_path):
+    p = tmp_path / "fold3.ifs"
+    p.write_text(FOLD3_TEXT)
+    code, out, _ = run(capsys, "ifs", "verify", str(p))
+    assert code == 2
+    assert out == _header("verify", p, 3) + _trivial_certificate(3) + dedent("""\
+        injective on recurrent: yes (1 state)
+        base check: FAIL (tower gives 2^0 but the power spectrum supports 2^1)
+        verdict: FAIL
+        """)
+    code, out, _ = run(capsys, "ifs", "analyze", str(p))
+    assert code == 0
+    assert out == _header("analyze", p, 3) + dedent("""\
+        # bound: 3
+        # horizon: 9
+        minimal: yes
+        spectrum: 1 2
+        cover[1]: none (0 minimal sets, expected 1)
+        cover[2]: none (1 minimal sets, expected 2)
+        """) + _trivial_certificate(3) + dedent("""\
+        recurrent: 0
+        injective on recurrent: yes
+        """)
+
+
 def test_ifs_verify_rejects_non_minimal(capsys, tmp_path):
     p = tmp_path / "half.ifs"
     p.write_text("states: 0 1 2 3\nlabel a: 2 3 0 1\n")
@@ -555,6 +626,16 @@ def test_tent_cycle_needs_n_or_primes(capsys):
     code, _, err = run(capsys, "tent", "cycle", "--a", "13/10")
     assert code == 1
     assert "--n or --primes" in err
+
+
+@pytest.mark.parametrize("op", [("cycle", "--a", "13/10"),
+                                ("sweep", "--from", "1", "--to", "3/2", "--step", "1/4")])
+def test_tent_n_and_primes_exclude_each_other(capsys, op):
+    # given both, the command once printed the --primes tower and dropped --n
+    code, out, err = run(capsys, "tent", *op, "--primes", "2,2", "--n", "3")
+    assert code == 1
+    assert out == ""
+    assert "--n" in err and "--primes" in err
 
 
 def test_tent_sweep(capsys):

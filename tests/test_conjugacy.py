@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 from hypothesis import example, given, settings
 
@@ -20,13 +18,13 @@ from addingmachine.conjugacy import (
 from addingmachine.errors import InputError, InternalConsistencyError
 from addingmachine.finite_ifs import (
     FiniteIFS,
-    compose,
     is_minimal,
     regularly_recurrent_points,
     rotation_system,
 )
 from addingmachine.odometer import BaseSequence, OdometerPoint
 from strategies import permutation_systems, small_systems
+from words import word_tables
 
 Z4 = rotation_system(4, [1])
 Z6 = rotation_system(6, [1])
@@ -302,8 +300,7 @@ def test_equivariance_word_iteration():
     # length-k words advance the odometer image by k steps
     fm = build_factor_map(Z12, max_tower(Z12))
     for k in (1, 2, 3):
-        for word in itertools.product(Z12.labels, repeat=k):
-            t = compose(Z12, word)
+        for t in word_tables(Z12, k):
             for x in Z12.states:
                 assert fm.residues[t[x]] == (fm.residues[x] + k) % 12
 
