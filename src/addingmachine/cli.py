@@ -154,12 +154,12 @@ def _cmd_ifs(args) -> int:
             f" ({len(rr)} state{'s' if len(rr) != 1 else ''})"
         )
         failed = failed or not injective
-        try:
-            alpha = conjugacy.tower_to_alpha(tower)
+        alpha = conjugacy.tower_to_alpha(tower)
+        if alpha.mismatch is None:
             profile = " ".join(f"{p}^{k}" for p, k in alpha.multiplicities) or "(empty)"
             lines.append(f"base check: PASS ({profile})")
-        except AddingMachineError as exc:
-            lines.append(f"base check: FAIL ({exc})")
+        else:
+            lines.append(f"base check: FAIL ({alpha.mismatch})")
             failed = True
         lines.append(f"verdict: {'FAIL' if failed else 'PASS'}")
     _emit("\n".join(lines) + "\n", args.output)

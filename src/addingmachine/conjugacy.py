@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from math import prod
 
 from ._intmath import factorize
-from .errors import InputError, InternalConsistencyError
+from .errors import InputError
 from .finite_ifs import (
     FiniteIFS,
     _summary,
@@ -373,10 +373,13 @@ class AlphaReport:
     multiplicities pairs each prime with its count among the tower
     factors; the same counts must re-emerge as the highest power of the
     prime dividing any member of the power spectrum of the system.
+    mismatch describes the first prime, in ascending order, where they
+    differ, and is None when the check passes.
     """
 
     primes: tuple[int, ...]
     multiplicities: tuple[tuple[int, int], ...]
+    mismatch: str | None = None
 
     def base(self) -> BaseSequence | None:
         return BaseSequence(prefix=self.primes, tail=()) if self.primes else None
@@ -385,22 +388,21 @@ class AlphaReport:
 def tower_to_alpha(tower: CyclicTower) -> AlphaReport:
     """Read the base off the tower and cross-validate against nm_set.
 
-    Disagreement between the tower's prime counts and the maxima over
-    the power spectrum signals a bug or a guard leak, and raises
-    InternalConsistencyError rather than returning a report.
+    A prime whose tower count differs from the highest power the power
+    spectrum supports is a finding, named in the report's mismatch.
     """
     F = tower.system
     tower_counts = Counter(tower.primes)
     spectrum = [factorize(s) for s in nm_set(F, F.n_states)]
+    mismatch = None
     for p in sorted(set(tower_counts).union(*spectrum)):
         from_spectrum = max(f.get(p, 0) for f in spectrum)
         if tower_counts.get(p, 0) != from_spectrum:
-            raise InternalConsistencyError(
-                f"tower gives {p}^{tower_counts.get(p, 0)} but the power spectrum"
-                f" supports {p}^{from_spectrum}"
-            )
+            mismatch = (f"tower gives {p}^{tower_counts.get(p, 0)} but the power spectrum"
+                        f" supports {p}^{from_spectrum}")
+            break
     mults = tuple(sorted(tower_counts.items()))
-    return AlphaReport(primes=tower.primes, multiplicities=mults)
+    return AlphaReport(primes=tower.primes, multiplicities=mults, mismatch=mismatch)
 
 
 def injectivity_on_regularly_recurrent(

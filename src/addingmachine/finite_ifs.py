@@ -8,46 +8,45 @@ apply f_a, then f_b.
 The central notion: a set M is minimal for the n-th power of the system
 when every length-n word maps M onto itself and no nonempty proper
 subset of M is mapped to itself by all length-n words simultaneously.
-Those sets are computed combinatorially in minimal_sets; nm_set and
-canonical covers build on it.
 
-Two walks feed everything else. _word_layers yields the distinct tables
-of each word length, building layer L+1 from layer L. _reach_walk
-yields R_L, one bitmask per state: bit y of R_L[x] is set when some
-length-L word sends x to y, so R_L[x] is the set of entries of the
-x-column of layer L. A word of length L+1 is a first letter f followed
-by a word of length L, so R_{L+1}[x] is the OR of R_L[f(x)] over the
-maps f: k ORs per state for k maps, however large the layer is.
-Minimality needs neither walk: it is decided on the union graph (an
-edge x -> f(x) for every map f) by two searches, once per system.
+Minimal sets come from one rule. Fix a length L. R_L is one bitmask
+per state: bit y of R_L[x] is set when some length-L word sends x to y.
+C_L is the set of pairs {x, y}, x != y, that some length-L word sends
+to one state. The forward closure of x under R_L is the smallest set
+holding x and R_L[y] for each of its states y. Then the minimal sets
+of length L are the forward closures under R_L that hold no pair of C_L.
 
-Algorithm behind minimal_sets: for a single table T, any set that T
-maps onto itself consists of whole T-cycles, and the states on T-cycles
-are T's eventual image (the images X, T(X), T(T(X)), ... shrink until a
-step keeps the size; T then permutes that image). So, over the length-L
-tables: (1) intersect their eventual images, stopping if the
-intersection empties; (2) prune to the largest subset G that every
-table maps into itself, dropping each x whose R_L[x] leaves G until
-nothing drops; (3) take the forward closure under R_L of each x in G.
-Every state left by (1) lies on a T-cycle, so T maps G into itself
-exactly when each x in G has its whole T-cycle in G. Hence (2) reaches
-the same fixed point as pruning states whose cycle under some table
-leaves the surviving set. Each edge x -> T(x) inside G lies on a
-T-cycle, and the T-cycle steps back from T(x) to x are edges too, so in
-the graph with an edge x -> y for each y in R_L[x] every edge lies on a
-cycle. Its forward closures are therefore its strongly connected
-components, and those equal its undirected components: the classes of
-gluing x to T(x) for every table T. The components are the minimal
-sets: every common invariant set is a union of components, and no
-component has a smaller common invariant subset. Step (1) is one pass
-over the layer, repeated once per state of the longest tail; steps (2)
-and (3) read R_L alone.
+(<=) Let B be the closure of x, holding no pair of C_L. Every length-L
+table T maps B into B, as B is closed under R_L, and one-to-one, as no
+pair of B collapses, so T permutes B. The restrictions to B of the
+words of lengths L, 2L, 3L, ... form a finite semigroup of
+permutations, which is a group. Every y in B is reached from x by one
+of those words, so another one sends y back to x: every state of B has
+closure B. A nonempty S inside B with T(S) = S for every table T holds
+the closure of each of its states, so S = B, and B is minimal.
+(=>) Let M be minimal. Every table maps M onto M, so it is one-to-one
+on M, no pair of M lies in C_L, and M is closed under R_L. The closure
+of any x in M is a subset of M that every table maps into itself, so by
+minimality it is M.
 
-When every map is a bijection, so is every table: its eventual image
-is all of X, step (1) keeps every state, and step (2) drops none. The
-minimal sets of length L are then the forward closures under R_L, a
-function of R_L alone, and nm_set walks R_L without building a table.
-Non-bijective systems keep the table walk, which step (1) needs.
+So two minimal sets are equal or disjoint, and _pair_free_closures
+finds them one state at a time: the closure of the lowest state x left
+is a minimal set if it holds no pair of C_L, and then it is the closure
+of each of its states; otherwise x lies in no minimal set. On a system
+of bijections no word collapses a pair, and C_L is empty.
+
+A word of length L+1 is a first letter f followed by a word of length
+L, so R_{L+1}[x] is the OR of R_L[f(x)] over the maps f (_reach_walk),
+and C_{L+1} is the set of pairs {x, y} such that some map f has
+f(x) = f(y) or {f(x), f(y)} in C_L. Appending a letter keeps a
+collapse, so C_L is the set of pairs whose shortest collapsing word has
+length at most L, and one backward breadth-first search from the
+diagonal of the pair graph, with edges {x, y} -> {f(x), f(y)}, finds
+all those lengths (_collapse_layers; the graph of Eppstein's reset
+sequences, SIAM J. Comput. 1990). nm_set walks (R_L, C_L) and builds
+no word table; minimal_sets reads R_n and C_n off the x-columns of the
+length-n tables. Minimality is decided on the union graph (an edge
+x -> f(x) for every map f) by two searches, once per system.
 
 One summary per system. _summary(F) runs the two searches of is_minimal
 once and keeps what they show: whether the system is minimal; the
@@ -66,21 +65,22 @@ tower_to_alpha checks the tower, which is built from l and d, against
 it, and a check of l and d against themselves would prove nothing.
 
 (a) The spectrum, the members of nm_set(F, b), is the divisors of d
-that are at most b. The minimal sets of length L are the classes of
-the graph G_L with an edge x -> y for each y in R_L[x] (see above), and
-they are the fibers of l mod g, g = gcd(L, d). An edge of G_L moves l
-by L, which g divides, so no class leaves a fiber. Conversely, take x
-and y in one fiber. The multiples of L mod d are the multiples of g, so
+that are at most b. The minimal sets of length L are the forward
+closures under R_L, as C_L is empty (see above), and they are the
+fibers of l mod g, g = gcd(L, d). A word of length L moves l by L,
+which g divides, so no closure leaves a fiber. Conversely, take x and y
+in one fiber. The multiples of L mod d are the multiples of g, so
 l(y) - l(x) = jL mod d for some j >= 1, and j can be raised by any
 multiple of d/g. A strongly connected graph of period d has walks of
 every long enough length t = l(y) - l(x) mod d from x to y
 (Brualdi-Ryser, Combinatorial Matrix Theory, section 3.4), so for large
 j some word of length jL, that is j words of length L, sends x to y:
-the fiber is one class. For g < g' dividing d, each fiber mod g is the
-union of g'/g nonempty fibers mod g', so lengths with different g share
-no minimal set. If L divides d, every shorter L' has gcd(L', d) <= L'
-< L = g, so the fibers mod L are new and L is a member. If not,
-g = gcd(L, d) < L has already shown the same fibers, and L is not.
+the fiber is the closure of x. For g < g' dividing d, each fiber mod g
+is the union of g'/g nonempty fibers mod g', so lengths with different
+g share no minimal set. If L divides d, every shorter L' has
+gcd(L', d) <= L' < L = g, so the fibers mod L are new and L is a
+member. If not, g = gcd(L, d) < L has already shown the same fibers,
+and L is not.
 
 (c) regularly_recurrent_points(F, h) is X when all maps share one table
 and h >= N, and empty otherwise. Suppose every length-L word fixes x.
@@ -101,7 +101,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InputError, NoCanonicalCoverError
 
@@ -237,24 +237,19 @@ def rotation_system(m: int, shifts: Sequence[int], metric=None) -> FiniteIFS:
 # -- words -----------------------------------------------------------------
 
 
-def _word_layers(F: FiniteIFS, limit: int):
-    """Yield the set of distinct tables of word length 1, 2, ..., limit."""
+def tables_of_length(F: FiniteIFS, n: int) -> list[Table]:
+    """Distinct tables of all length-n words, sorted for determinism.
+
+    Layer L+1 is built from layer L: each table followed by each map.
+    """
+    if n < 1:
+        raise InputError(f"word length must be >= 1, got {n}")
     level = frozenset(F._tables)
-    yield level
-    for _ in range(limit - 1):
+    for _ in range(n - 1):
         # a list comprehension builds each tuple about twice as fast as a generator
         level = frozenset(
             tuple([t[v] for v in prev]) for prev in level for t in F._tables
         )
-        yield level
-
-
-def tables_of_length(F: FiniteIFS, n: int) -> list[Table]:
-    """Distinct tables of all length-n words, sorted for determinism."""
-    if n < 1:
-        raise InputError(f"word length must be >= 1, got {n}")
-    for level in _word_layers(F, n):
-        pass
     return sorted(level)
 
 
@@ -282,74 +277,73 @@ class MinimalSetReport:
 def minimal_sets(F: FiniteIFS, n: int) -> MinimalSetReport:
     """All minimal sets of the n-th power of the system.
 
-    May be empty when some length-n word acts non-surjectively everywhere;
-    for systems of bijections it is always a partition refinement.
+    R_n and C_n are read off the x-columns of the length-n tables, and
+    the minimal sets are the forward closures under R_n that hold no
+    pair of C_n (see the module docstring). May be empty when some
+    length-n word acts non-surjectively everywhere; for systems of
+    bijections it is always a partition refinement.
     """
-    blocks = _minimal_blocks(F, tables_of_length(F, n))
-    sets = tuple(sorted(_states_of(block) for block in blocks))
+    tables = tables_of_length(F, n)
+    reach = tuple(sum(1 << y for y in set(column)) for column in zip(*tables))
+    partners: dict[int, int] = {}
+    if not _summary(F).bijective:
+        for t in tables:
+            fibers: dict[int, int] = {}
+            for x, y in enumerate(t):
+                fibers[y] = fibers.get(y, 0) | 1 << x
+            for x, y in enumerate(t):
+                partners[x] = partners.get(x, 0) | fibers[y] & ~(1 << x)
+    blocks = _pair_free_closures(reach, partners)
+    sets = tuple(sorted(tuple(x for x in F.states if b >> x & 1) for b in blocks))
     whole = len(sets) == 1 and len(sets[0]) == F.n_states
     return MinimalSetReport(n=n, sets=sets, is_whole_space=whole)
 
 
-def _minimal_blocks(F: FiniteIFS, tables: Collection[Table]) -> frozenset[int]:
-    """Steps (1)-(3) on one layer of tables: its minimal sets as bitmasks.
+def _pair_free_closures(reach: Sequence[int], partners: Mapping[int, int]) -> frozenset[int]:
+    """R's minimal sets as bitmasks: the closures holding no collapsed pair.
 
-    A system of bijections skips steps (1) and (2), which keep every
-    state there (see the module docstring).
-    """
-    bijective = _summary(F).bijective
-    if not bijective:
-        good = set(F.states)
-        for t in tables:
-            image = set(t)
-            while True:
-                shrunk = {t[x] for x in image}
-                if len(shrunk) == len(image):
-                    break
-                image = shrunk
-            good &= image
-            if not good:
-                return frozenset()
-    # R of this length, read off the x-columns of the layer
-    reach = tuple(sum(1 << y for y in set(column)) for column in zip(*tables))
-    if bijective:
-        return _closures(reach, (1 << F.n_states) - 1)
-    return _closures(reach, _prune(reach, sum(1 << x for x in good)))
-
-
-def _prune(reach: Sequence[int], good: int) -> int:
-    """Step (2): drop each x in good whose R[x] leaves good, until none drops."""
-    members = _states_of(good)
-    while True:
-        outside = ~good
-        kept = [x for x in members if not reach[x] & outside]
-        if len(kept) == len(members):
-            return good
-        members = kept
-        good = sum(1 << x for x in kept)
-
-
-def _closures(reach: Sequence[int], good: int) -> frozenset[int]:
-    """Step (3): the forward closures under R of the states in good, as bitmasks.
-
-    Requires R[x] to lie inside good for every x in good, which step (2)
-    leaves behind.
+    Bit y of partners[x] is set when {x, y} collapses; a state without
+    partners may be left out.
     """
     blocks = []
-    while good:
-        block, todo = 0, good & -good
-        while todo:
-            low = todo & -todo
-            block |= low
-            todo = (todo | reach[low.bit_length() - 1]) & ~block
-        blocks.append(block)
-        good &= ~block
+    todo = (1 << len(reach)) - 1
+    while todo:
+        low = todo & -todo
+        block, grow = 0, low
+        while grow:
+            bit = grow & -grow
+            block |= bit
+            grow = (grow | reach[bit.bit_length() - 1]) & ~block
+        if partners and any(block >> x & 1 and mask & block for x, mask in partners.items()):
+            todo ^= low  # the lowest state left lies in no minimal set
+        else:
+            blocks.append(block)
+            todo &= ~block
     return frozenset(blocks)
 
 
-def _states_of(mask: int) -> tuple[int, ...]:
-    """The states whose bits are set in mask, in ascending order."""
-    return tuple(x for x in range(mask.bit_length()) if mask >> x & 1)
+def _collapse_layers(F: FiniteIFS) -> list[list[tuple[int, int]]]:
+    """The collapsing pairs x < y, grouped by shortest collapsing length.
+
+    Item L-1 holds those first collapsed at length L, so C_L is the union
+    of the first L items: the layers of a backward breadth-first search
+    from the diagonal of the pair graph (see the module docstring).
+    """
+    if _summary(F).bijective:
+        return []
+    preimages = [[[x for x, z in enumerate(t) if z == y] for y in F.states] for t in F._tables]
+    layers = []
+    seen = {(x, x) for x in F.states}
+    frontier = list(seen)
+    while True:
+        frontier = [pair for pair in dict.fromkeys(
+            (x, y) if x < y else (y, x)
+            for u, v in frontier for pre in preimages for x in pre[u] for y in pre[v]
+        ) if pair not in seen]
+        if not frontier:
+            return layers
+        seen.update(frontier)
+        layers.append(frontier)
 
 
 def _reach_walk(F: FiniteIFS, limit: int):
@@ -472,35 +466,34 @@ class NMSet:
 def nm_set(F: FiniteIFS, bound: int) -> NMSet:
     """Members n <= bound: some n-th power minimal set is new at n.
 
-    When every map is a bijection, the minimal sets of length n are the
-    forward closures under R_n (see the module docstring), and the walk
-    reads R_n alone. Otherwise it walks the table layers and runs steps
-    (1)-(3) on each. Either way the walk's next item, R_{n+1} or the
-    length-(n+1) layer, is a function of its current one. So once an item
-    equals an earlier one, every later item, and with it every later
-    collection of minimal sets, repeats an earlier one, no new member
-    can appear, and the walk stops there. R_n repeats no later than the
-    layer it is read from. The returned bound is the one asked for,
-    however early the walk stopped.
+    The walk steps the pair (R_n, C_n), and the minimal sets of length n
+    are the forward closures under R_n that hold no pair of C_n (see the
+    module docstring). It stops at the first R_n equal to an earlier
+    R_j: R is then periodic, so every later R_m equals some R_i with
+    j <= i < n, and C_i lies in C_m, as C only grows. A closure under
+    R_m that holds no pair of C_m holds none of C_i either, so every
+    later minimal set has been seen and no new member can appear. R_n,
+    the n-th Boolean power of the union graph, repeats within
+    (N-1)^2 + 1 + d steps on N states. The returned bound is the one
+    asked for, however early the walk stopped.
     """
     if bound < 1:
         raise InputError(f"bound must be >= 1, got {bound}")
     if not is_minimal(F):
         raise InputError("system is not minimal; its power structure is undefined here")
-    bijective = _summary(F).bijective
-    walk = _reach_walk(F, bound) if bijective else _word_layers(F, bound)
-    everything = (1 << F.n_states) - 1
+    layers = _collapse_layers(F)
+    partners: dict[int, int] = {}
     members = []
     earlier: set[int] = set()
     seen = set()
-    for n, state in enumerate(walk, start=1):
-        if state in seen:
+    for n, reach in enumerate(_reach_walk(F, bound), start=1):
+        if reach in seen:
             break
-        seen.add(state)
-        if bijective:
-            blocks = _closures(state, everything)
-        else:
-            blocks = _minimal_blocks(F, state)
+        seen.add(reach)
+        for x, y in layers[n - 1] if n <= len(layers) else ():
+            partners[x] = partners.get(x, 0) | 1 << y
+            partners[y] = partners.get(y, 0) | 1 << x
+        blocks = _pair_free_closures(reach, partners)
         if n == 1 or not blocks <= earlier:
             members.append(n)
         earlier |= blocks

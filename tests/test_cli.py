@@ -220,7 +220,8 @@ def test_ifs_verify_decides_minimality_once(capsys, z6two, monkeypatch):
 
 
 def test_ifs_analyze_reads_a_bijective_system_off_one_summary(capsys, tmp_path, monkeypatch):
-    # one forward and one reverse search, and neither the R walk nor nm_set
+    # one forward and one reverse search, and neither the R walk, the
+    # collapsed-pair search nor nm_set
     path = tmp_path / "rot96.ifs"
     path.write_text(format_ifs(finite_ifs.rotation_system(96, [1, 5])))
     searches = []
@@ -235,6 +236,7 @@ def test_ifs_analyze_reads_a_bijective_system_off_one_summary(capsys, tmp_path, 
 
     monkeypatch.setattr(finite_ifs, "_reached", counting)
     monkeypatch.setattr(finite_ifs, "_reach_walk", walk)
+    monkeypatch.setattr(finite_ifs, "_collapse_layers", walk)
     monkeypatch.setattr(finite_ifs, "nm_set", walk)
     code, out, _ = run(capsys, "ifs", "analyze", str(path))
     assert code == 0

@@ -15,7 +15,7 @@ from addingmachine.conjugacy import (
     tower_to_alpha,
     verify_equivariance,
 )
-from addingmachine.errors import InputError, InternalConsistencyError
+from addingmachine.errors import InputError
 from addingmachine.finite_ifs import (
     FiniteIFS,
     is_minimal,
@@ -331,10 +331,22 @@ def test_tower_to_alpha_frozen():
 
 def test_tower_to_alpha_rejects_partial_towers():
     # the cross-check is part of the contract: a depth-one tower on a
-    # twelve-state cycle undersells the spectrum and must not pass
+    # twelve-state cycle undersells the spectrum and must not pass; a
+    # failed check is a finding, returned rather than raised
     partial = extend_tower(Z12, CyclicTower.trivial(Z12))[0][1]
-    with pytest.raises(InternalConsistencyError):
-        tower_to_alpha(partial)
+    report = tower_to_alpha(partial)
+    assert report.mismatch == "tower gives 2^1 but the power spectrum supports 2^2"
+    assert report.multiplicities == ((2, 1),)
+    assert tower_to_alpha(max_tower(Z12)).mismatch is None
+
+
+def test_tower_to_alpha_returns_a_spectrum_prime_without_a_level():
+    # minimal and not bijective: the spectrum is 1 2, but no coloring mod
+    # 2 exists, so the greedy tower stays trivial
+    F = FiniteIFS({"a": (1, 0, 0), "b": (2, 0, 0)})
+    report = tower_to_alpha(max_tower(F))
+    assert report.mismatch == "tower gives 2^0 but the power spectrum supports 2^1"
+    assert report.multiplicities == () and report.base() is None
 
 
 # -- injectivity ------------------------------------------------------------------

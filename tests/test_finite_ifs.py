@@ -3,11 +3,13 @@ import itertools
 import math
 import operator
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from addingmachine import finite_ifs
 from addingmachine.cli import main
 from addingmachine.errors import InputError, NoCanonicalCoverError
 from addingmachine.finite_ifs import (
@@ -36,6 +38,9 @@ CONST = FiniteIFS({"a": (0, 0), "b": (1, 1)})
 # minimal, mod-2 colorable, but the second map is not surjective; its
 # second power has no minimal sets at all
 NONSURJ = FiniteIFS({"a": (1, 2, 3, 0), "b": (1, 0, 1, 0)})
+# minimal and not bijective, with spectra 1 3 and 1 2
+FOLD4 = FiniteIFS({"a": (1, 2, 0, 0), "b": (1, 3, 0, 0)})
+FOLD3 = FiniteIFS({"a": (1, 0, 0), "b": (2, 0, 0)})
 
 
 def brute_minimal_sets(F, n):
@@ -237,10 +242,12 @@ def test_nm_set_examples():
     assert nm_set(Z6_TWO, 6).members == (1, 2)
     assert nm_set(rotation_system(1, [0]), 3).members == (1,)
     assert nm_set(CONST, 3).members == (1,)
+    assert nm_set(FOLD4, 4).members == (1, 3)
+    assert nm_set(FOLD3, 3).members == (1, 2)
 
 
 def test_nm_set_huge_bound_matches_state_count_bound():
-    for F in (Z6, Z6_TWO, NONSURJ):
+    for F in (Z6, Z6_TWO, NONSURJ, FOLD4, FOLD3):
         huge = nm_set(F, 10**9)
         assert huge.members == nm_set(F, F.n_states).members
         assert huge.bound == 10**9
@@ -417,11 +424,8 @@ def bfs_period(F):
     ))
 
 
-@settings(max_examples=60, deadline=None)
-@given(F=permutation_systems().filter(is_minimal))
-@example(F=rotation_system(6, [2, 3]))
-def test_nm_set_on_permutation_systems_matches_per_length_oracle(F):
-    top = F.n_states ** 2 + 3
+def layer_oracle_members(F, top):
+    """nm_set(F, top).members from brute-force minimal sets of each table layer."""
     maps = [F.table(label) for label in F.labels]
     level, seen, members, earlier = frozenset(maps), set(), [], set()
     for n in range(1, top + 1):
@@ -435,8 +439,84 @@ def test_nm_set_on_permutation_systems_matches_per_length_oracle(F):
             members.append(n)
         earlier |= collection
         level = frozenset(tuple(t[v] for v in prev) for prev in level for t in maps)
+    return members
+
+
+@settings(max_examples=60, deadline=None)
+@given(F=permutation_systems().filter(is_minimal))
+@example(F=rotation_system(6, [2, 3]))
+def test_nm_set_on_permutation_systems_matches_per_length_oracle(F):
+    top = F.n_states ** 2 + 3
+    members = layer_oracle_members(F, top)
     for bound in range(1, top + 1):
         assert nm_set(F, bound).members == tuple(m for m in members if m <= bound)
+
+
+# -- the pair walk against the table oracles ------------------------------------
+
+
+def walk_collections(F, limit):
+    """The minimal sets of lengths 1..limit as nm_set's walk finds them.
+
+    Each length takes R_L from the R walk and C_L as the union of the
+    first L layers of the collapsed-pair search, rebuilt from scratch.
+    """
+    layers = finite_ifs._collapse_layers(F)
+    collections = []
+    for n, reach in enumerate(finite_ifs._reach_walk(F, limit), start=1):
+        partners = {}
+        for x, y in itertools.chain.from_iterable(layers[:n]):
+            partners[x] = partners.get(x, 0) | 1 << y
+            partners[y] = partners.get(y, 0) | 1 << x
+        blocks = finite_ifs._pair_free_closures(reach, partners)
+        collections.append(tuple(sorted(
+            tuple(x for x in F.states if block >> x & 1) for block in blocks
+        )))
+    return collections
+
+
+@settings(max_examples=200, deadline=None)
+@given(F=small_systems() | permutation_systems())
+@example(F=FOLD4)
+@example(F=FOLD3)
+@example(F=NONSURJ)
+@example(F=CONST)
+@example(F=FiniteIFS({"a": (1, 2, 0, 0)}))
+def test_walk_blocks_match_the_table_oracles_at_every_length(F):
+    for n, collection in enumerate(walk_collections(F, F.n_states + 3), start=1):
+        assert collection == minimal_sets(F, n).sets == brute_minimal_sets(F, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(F=(small_systems() | permutation_systems()).filter(is_minimal))
+@example(F=FOLD4)
+@example(F=FOLD3)
+@example(F=NONSURJ)
+def test_nm_set_matches_the_table_oracle_at_every_bound(F):
+    top = F.n_states ** 2 + 2
+    members = layer_oracle_members(F, top)
+    for bound in range(1, top + 1):
+        assert nm_set(F, bound).members == tuple(m for m in members if m <= bound)
+
+
+def minimal_perm_and_map_system(n, seed):
+    """The first minimal draw of one shuffled permutation and one arbitrary map."""
+    rng = random.Random(seed)
+    while True:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        F = FiniteIFS({"a": tuple(perm), "b": tuple(rng.randrange(n) for _ in range(n))})
+        if is_minimal(F):
+            return F
+
+
+def test_nm_set_on_a_20_state_non_bijective_system_takes_under_half_a_second():
+    # the word tables of this system grow to hundreds of thousands per
+    # length before a layer repeats; the pair walk builds none of them
+    F = minimal_perm_and_map_system(20, seed=1)
+    start = time.perf_counter()
+    assert nm_set(F, F.n_states).members == (1,)
+    assert time.perf_counter() - start < 0.5
 
 
 def minimal_two_permutation_system(n, seed):
