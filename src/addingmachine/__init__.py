@@ -13,7 +13,6 @@ from .errors import (
     ExactnessError,
     IFSParseError,
     InputError,
-    InternalConsistencyError,
     NoCanonicalCoverError,
 )
 from .exactnum import Surd, exact_sqrt, format_exact, parse_exact, surd
@@ -80,7 +79,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AddingMachineError", "ExactnessError", "IFSParseError", "InputError",
-    "InternalConsistencyError", "NoCanonicalCoverError",
+    "NoCanonicalCoverError",
     "Surd", "exact_sqrt", "format_exact", "parse_exact", "surd",
     "INFINITY", "BaseSequence", "OdometerPoint", "PrimeMultiplicity",
     "add", "as_residue", "distance", "from_residue", "odometers_conjugate",

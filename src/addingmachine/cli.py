@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import conjugacy, finite_ifs, interval_dynamics, odometer
-from .errors import AddingMachineError, ExactnessError, InputError, NoCanonicalCoverError
+from .errors import ExactnessError, InputError, NoCanonicalCoverError
 from .exactnum import format_exact, parse_exact
 from .ifs_io import load_ifs
 
@@ -61,22 +61,21 @@ def _cmd_odometer(args) -> int:
         point = odometer.OdometerPoint.from_text(base, args.point)
         print(odometer.successor(point).to_text())
         return 0
-    if args.op == "conjugate":
-        b1 = odometer.BaseSequence.from_text(args.base1)
-        b2 = odometer.BaseSequence.from_text(args.base2)
-        m1 = odometer.prime_multiplicity(b1)
-        m2 = odometer.prime_multiplicity(b2)
-        lines = [
-            "# odometer conjugate",
-            f"# base1 = {b1}",
-            f"# base2 = {b2}",
-            f"M1: {m1}",
-            f"M2: {m2}",
-            f"conjugate: {'yes' if m1 == m2 else 'no'}",
-        ]
-        print("\n".join(lines))
-        return 0
-    raise InputError(f"unknown odometer operation {args.op!r}")
+    # conjugate, the last operation argparse accepts
+    b1 = odometer.BaseSequence.from_text(args.base1)
+    b2 = odometer.BaseSequence.from_text(args.base2)
+    m1 = odometer.prime_multiplicity(b1)
+    m2 = odometer.prime_multiplicity(b2)
+    lines = [
+        "# odometer conjugate",
+        f"# base1 = {b1}",
+        f"# base2 = {b2}",
+        f"M1: {m1}",
+        f"M2: {m2}",
+        f"conjugate: {'yes' if m1 == m2 else 'no'}",
+    ]
+    print("\n".join(lines))
+    return 0
 
 
 # -- ifs ----------------------------------------------------------------------
@@ -237,31 +236,30 @@ def _cmd_tent(args) -> int:
                 )
         print("\n".join(lines))
         return 0
-    if args.op == "sweep":
-        start = parse_exact(args.start)
-        stop = parse_exact(args.stop)
-        step = parse_exact(args.step)
-        if step <= 0:
-            raise InputError("step must be positive")
-        if start + SWEEP_MAX_STEPS * step < stop:
-            raise InputError(f"tent sweep spans more than {SWEEP_MAX_STEPS} steps; "
-                             "use a larger --step or a shorter range")
-        if not args.primes and args.n is None:
-            raise InputError("tent sweep needs --n or --primes")
-        _check_transient(args.transient)
-        rows = ["a,level_certified,cycle_lengths,status"]
-        margin = parse_exact(args.margin)
-        primes = _parse_primes(args.primes) if args.primes else None
-        a = start
-        while a <= stop:
-            sizes, levels, deepest = _certify(a, primes, args.n, args.window, margin)
-            certified = [str(size) for size, lv in zip(sizes, levels) if lv.status == "certified"]
-            status = "certified" if deepest == len(sizes) else levels[deepest].status
-            rows.append(f"{format_exact(a)},{deepest},{';'.join(certified)},{status}")
-            a = a + step
-        _emit("\n".join(rows) + "\n", args.output)
-        return 0
-    raise InputError(f"unknown tent operation {args.op!r}")
+    # sweep, the last operation argparse accepts
+    start = parse_exact(args.start)
+    stop = parse_exact(args.stop)
+    step = parse_exact(args.step)
+    if step <= 0:
+        raise InputError("step must be positive")
+    if start + SWEEP_MAX_STEPS * step < stop:
+        raise InputError(f"tent sweep spans more than {SWEEP_MAX_STEPS} steps; "
+                         "use a larger --step or a shorter range")
+    if not args.primes and args.n is None:
+        raise InputError("tent sweep needs --n or --primes")
+    _check_transient(args.transient)
+    rows = ["a,level_certified,cycle_lengths,status"]
+    margin = parse_exact(args.margin)
+    primes = _parse_primes(args.primes) if args.primes else None
+    a = start
+    while a <= stop:
+        sizes, levels, deepest = _certify(a, primes, args.n, args.window, margin)
+        certified = [str(size) for size, lv in zip(sizes, levels) if lv.status == "certified"]
+        status = "certified" if deepest == len(sizes) else levels[deepest].status
+        rows.append(f"{format_exact(a)},{deepest},{';'.join(certified)},{status}")
+        a = a + step
+    _emit("\n".join(rows) + "\n", args.output)
+    return 0
 
 
 def _certify(a, primes, n, window, margin):
@@ -364,22 +362,14 @@ def main(argv=None) -> int:
         # argparse exits with 2 on usage errors; that code is reserved
         # here for mathematical counterexamples, so remap to plain 1
         return 0 if exc.code in (0, None) else 1
+    command = {"odometer": _cmd_odometer, "ifs": _cmd_ifs, "tent": _cmd_tent}[args.command]
     try:
-        if args.command == "odometer":
-            return _cmd_odometer(args)
-        if args.command == "ifs":
-            return _cmd_ifs(args)
-        if args.command == "tent":
-            return _cmd_tent(args)
-        raise InputError(f"unknown command {args.command!r}")
+        return command(args)
     except (InputError, ExactnessError, OSError) as exc:
         # ExactnessError here means the arguments mixed radicands; OSError
         # means an input file or --output path could not be opened
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except AddingMachineError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -24,14 +24,6 @@ class ExactnessError(AddingMachineError):
     """
 
 
-class InternalConsistencyError(AddingMachineError):
-    """Two independent computations of the same quantity disagree.
-
-    Signals a bug or an input that slipped past a guard; never a normal
-    outcome.
-    """
-
-
 class NoCanonicalCoverError(AddingMachineError):
     """The minimal sets at the requested length do not form a partition."""
 

@@ -96,17 +96,22 @@ widened overlap proves nothing. When every point read is 1/2 (a = 1,
 or a window of one point) all hulls are that point, and the status is
 "degenerate". The levels of one tower share the critical-orbit memo
 and nothing else, and it never holds more than the window's points.
-The class hulls are min and max over plain integer keys of the prefix
-(_prefix_keys); only their 2n endpoints become exact numbers, and the
-images of the hulls are read off tent_eval at their ends.
+Each class hull grows one point at a time by one exact comparison of
+integer triples, _sign(P*D' - P'*D, Q*D' - Q'*D, r) for
+(P + Q*sqrt(r))/D against (P' + Q'*sqrt(r))/D' (_compare), so a window
+costs O(window) comparisons. Only the 2n endpoints become exact
+numbers, and the images of the hulls are read off tent_eval at their
+ends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, count, islice
-from math import gcd, isqrt, lcm
+from functools import cmp_to_key
+from itertools import accumulate, chain, count, islice
+from math import gcd
+from operator import mul
 
 from .errors import ExactnessError, InputError
 from .exactnum import ExactNumber, Surd, _reduced, _sign, format_exact, parse_exact
@@ -223,20 +228,24 @@ def _critical(param: TentParam, start: int, stop: int) -> list:
     return memo[start:stop]
 
 
+def _check_field(param: TentParam, *xs) -> None:
+    """Raise ExactnessError unless the slope and the surds among xs share
+    one radicand. Callers check up front: a margin meets only disjoint
+    hulls, and a window of one point runs no step."""
+    rs = list(dict.fromkeys(x.r for x in (param.a, *xs) if isinstance(x, Surd)))
+    if len(rs) > 1:
+        raise ExactnessError(f"cannot combine sqrt({rs[0]}) with sqrt({rs[1]}) exactly")
+
+
 def _orbit(param: TentParam, x, start: int = 0):
     """Yield points start, start + 1, ... of the orbit x, T(x), T(T(x)), ...,
     each stepped from the last as a*x or a*(1 - x).
 
     x is checked against [0, 1] once: T_a maps [0, 1] into [0, a/2] and
-    a <= 2, so every later point lies there too. A surd x must share the
-    slope's radicand, and that is checked up front as well, since no
-    step runs when only x is asked for.
+    a <= 2, so every later point lies there too.
     """
     if x < 0 or x > 1:
         raise InputError(f"point {format_exact(x)} outside [0, 1]")
-    r = param._kernel[3]
-    if r and isinstance(x, Surd) and x.r != r:
-        raise ExactnessError(f"cannot combine sqrt({r}) with sqrt({x.r}) exactly")
     a = param.a
     for k in count():
         if k >= start:
@@ -327,6 +336,7 @@ def omega_limit_estimate(a, y, transient: int, window: int, resolution=0) -> Ome
         raise InputError("need transient >= 0 and window >= 1")
     if resolution < 0:
         raise InputError("resolution must be >= 0")
+    _check_field(a, y, resolution)
     samples = tuple(islice(_orbit(a, y, transient), window))
     ordered = sorted(set(samples))
     intervals = []
@@ -382,43 +392,13 @@ def _tent_image(a: TentParam, lo, hi):
     return (left if left <= right else right), tent_eval(a, HALF)
 
 
-def _prefix_keys(param: TentParam, length: int):
-    """(den, keys) for the critical orbit's first points c_0, ...,
-    c_(length-1): one denominator den and one key per point, in orbit
-    order, that orders the points exactly.
-
-    A rational slope's point P_k/(2*s^k) goes over den = 2*s^(length-1)
-    as the key P_k*s^(length-1-k). A surd slope's points are reduced
-    triples (P, Q, D); over den = lcm of their D (at most
-    2*s^(length-1), and much less on a periodic orbit) each is
-    (P' + Q'*sqrt(r))/den with (P', Q') = (den // D)*(P, Q), and its key
-    is K = (P' << b) + Q'*root, with root = isqrt(r * 4^b) and b chosen
-    so that 2^b > 8*M^2*r, M bounding every |P'| and |Q'|. K orders the
-    points exactly: 2^b*sqrt(r) - root lies in [0, 1), so K is within
-    |Q'| <= M of 2^b*(P' + Q'*sqrt(r)). Two distinct points differ by
-    d = (dP + dQ*sqrt(r))/den, whose norm dP^2 - dQ^2*r is a nonzero
-    integer (sqrt(r) is irrational), so |dP + dQ*sqrt(r)| >=
-    1/|dP - dQ*sqrt(r)| > 1/(4*M*sqrt(r)), and their keys differ in the
-    sign of d, by more than 2^b/(4*M*sqrt(r)) - 2*M > 0. Equal points
-    have equal (P', Q') and equal keys.
-    """
-    points = _critical(param, 0, length)
-    _, q, s, r = param._kernel
-    if q:
-        den = lcm(*(D for _, _, D in points))
-        scales = [den // D for _, _, D in points]
-        # M < 2^L, as |P*m| < 2^(bits of P + bits of m)
-        L = max(max(P.bit_length(), Q.bit_length()) + m.bit_length()
-                for (P, Q, _), m in zip(points, scales))
-        b = 2 * L + r.bit_length() + 3
-        root = isqrt(r << 2 * b)
-        return den, [(P * m << b) + Q * m * root for (P, Q, _), m in zip(points, scales)]
-    keys = [0] * length
-    scale = 1  # s^(length-1-k) for point k
-    for k in range(length - 1, -1, -1):
-        keys[k] = points[k] * scale
-        scale *= s
-    return 2 * s ** (length - 1), keys
+def _compare(x: tuple, y: tuple, r: int) -> int:
+    """The sign of x - y for points x = (P + Q*sqrt(r))/D and
+    y = (P' + Q'*sqrt(r))/D' given as integer triples with D, D' > 0:
+    x - y = ((P*D' - P'*D) + (Q*D' - Q'*D)*sqrt(r))/(D*D')."""
+    P, Q, D = x
+    P2, Q2, D2 = y
+    return _sign(P * D2 - P2 * D, Q * D2 - Q2 * D, r)
 
 
 def detect_interval_cycle(a, n: int, window: int = 64, margin=0) -> CycleDetection:
@@ -432,15 +412,14 @@ def detect_interval_cycle(a, n: int, window: int = 64, margin=0) -> CycleDetecti
     [0, 1]. The margin plays no part in the absence test (see the
     module docstring).
 
-    The hulls are found as min and max over the plain integer keys of
-    _prefix_keys; only their 2n endpoints become exact numbers, and only
-    once the hulls are known to be disjoint. The keys are built for the
-    first prefix, and past it for a length that at least doubles each
-    time, so a window of escapes costs O(window) keys, not
-    O(window^2 / n); the walk may then read up to twice the points of
-    the prefix that decides, never more than the window. A prefix whose
-    key hulls equal the last prefix's under the same keys has that
-    prefix's verdict, which did not decide, so it is skipped.
+    Each hull is kept as the indices of its lowest and highest point and
+    grows one point at a time: a new point is compared with the two ends
+    of its class by _compare, a rational slope's point k read as the
+    triple (P_k, 0, 2*s^k). So a window costs O(window) comparisons, and
+    the walk stops at the prefix that decides. A prefix in which no hull
+    moved would repeat the last verdict, which did not decide, so it is
+    skipped. Only the 2n endpoints become exact numbers, once the hulls
+    are known to be disjoint.
     """
     a = _slope(a)
     margin = _coerce(margin)
@@ -450,41 +429,46 @@ def detect_interval_cycle(a, n: int, window: int = 64, margin=0) -> CycleDetecti
         raise InputError(f"window must be >= 1, got {window}")
     if margin < 0:
         raise InputError("margin must be >= 0")
+    _check_field(a, margin)
     if window < n:  # some residue class gets no point
         return CycleDetection(n=n, status="inconclusive", window=window, margin=margin)
-    _, q, _, r = a._kernel
-    escape, length = None, 0
+    _, q, s, r = a._kernel
+    points, den = [], 2  # c_0, c_1, ... as triples; den = 2*s^k for the next rational point
+    by_value = cmp_to_key(lambda x, y: _compare(x, y, r))
+    lo, hi = list(range(n)), list(range(n))  # each class's lowest and highest point
+    moved, escape = True, None
     for m in (*range(2 * n + 1, window, n), window):
-        if m > length:  # keys of a longer prefix order this one's points too
-            length = min(window, max(m, 2 * length))
-            den, keys = _prefix_keys(a, length)
-            last = None  # keys of another length are scaled differently
-        bounds = [(min(g), max(g)) for g in (keys[j:m:n] for j in range(n))]
-        if bounds == last:
-            continue  # the same hulls as the last prefix, which did not decide
-        last = bounds
-        v = bounds[0][0]
-        if all(lo == v and hi == v for lo, hi in bounds):
+        read = len(points)
+        if q:
+            points += _critical(a, read, m)
+        else:
+            for P in _critical(a, read, m):
+                points.append((P, 0, den))
+                den *= s
+        for k in range(max(read, n), m):
+            j, x = k % n, points[k]
+            if _compare(x, points[lo[j]], r) < 0:
+                lo[j], moved = k, True
+            elif _compare(x, points[hi[j]], r) > 0:
+                hi[j], moved = k, True
+        if not moved:
+            continue  # the same hulls as the last prefix examined, which did not decide
+        moved = False
+        # no hull moved off its class's first point c_j, and those are all c_0
+        if lo == hi and all(_compare(points[j], points[0], r) == 0 for j in range(n)):
             return CycleDetection(n=n, status="degenerate", window=window, margin=margin)
-        order = sorted(range(n), key=lambda j: bounds[j][0])
+        order = sorted(range(n), key=lambda j: by_value(points[lo[j]]))
         neighbours = list(zip(order, order[1:]))
         for prev, nxt in neighbours:
-            if not bounds[prev][1] < bounds[nxt][0]:
+            if _compare(points[hi[prev]], points[lo[nxt]], r) >= 0:
                 return CycleDetection(
                     n=n, status="absent", window=window, margin=margin, overlap=(prev, nxt)
                 )
-
-        def exact(key):
-            if q:  # the memo holds each key's point as a reduced triple
-                k = keys.index(key)
-                return _reduced(*_critical(a, k, k + 1)[0], r)
-            return Fraction(key, den)
-
-        hulls = [(exact(lo), exact(hi)) for lo, hi in bounds]
+        hulls = [(_reduced(*points[i], r), _reduced(*points[k], r)) for i, k in zip(lo, hi)]
         escape = None
         if margin:
-            hulls = [(max(lo - margin, Fraction(0)), min(hi + margin, Fraction(1)))
-                     for lo, hi in hulls]
+            hulls = [(max(x - margin, Fraction(0)), min(y + margin, Fraction(1)))
+                     for x, y in hulls]
             if any(not hulls[prev][1] < hulls[nxt][0] for prev, nxt in neighbours):
                 continue  # widened hulls that meet certify nothing, and rule nothing out
         for j in range(n):
@@ -532,11 +516,7 @@ def tower_certificate(a, primes, window: int = 64, margin=0) -> TowerCertificate
     for p in primes:
         if not isinstance(p, int) or isinstance(p, bool) or p < 2:
             raise InputError(f"level factor must be an integer >= 2, got {p!r}")
-    sizes = []
-    m = 1
-    for p in primes:
-        m *= p
-        sizes.append(m)
+    sizes = tuple(accumulate(primes, mul))
     levels = tuple(detect_interval_cycle(a, size, window, margin) for size in sizes)
     deepest = 0
     for det in levels:
@@ -544,5 +524,5 @@ def tower_certificate(a, primes, window: int = 64, margin=0) -> TowerCertificate
             break
         deepest += 1
     return TowerCertificate(
-        slope=a.a, sizes=tuple(sizes), levels=levels, deepest_certified=deepest
+        slope=a.a, sizes=sizes, levels=levels, deepest_certified=deepest
     )

@@ -489,6 +489,37 @@ def test_tent_cycle_absent(capsys):
     assert "overlap: class 0 and class 1" in out
 
 
+def test_tent_cycle_escape_report(capsys):
+    # a margin in sqrt(2) widens the rational hulls of 13/10, whose
+    # containment has no slack, so the image of I[0] leaks out of I[1]
+    code, out, _ = run(capsys, "tent", "cycle", "--a", "13/10", "--n", "2",
+                       "--margin", "sqrt(2)/100")
+    assert code == 0
+    assert out == dedent("""\
+        # tent cycle
+        # a = 13/10
+        # transient = 0, window = 64, margin = sqrt(2)/100
+        # n = 2
+        status: inconclusive
+        """) + ("escape: T(I[0]) = [(1183-26*sqrt(2))/2000, 13/20] not inside "
+               "I[1] = [(1183-20*sqrt(2))/2000, (65+1*sqrt(2))/100]\n")
+
+
+def test_tent_cycle_absent_at_a_later_prefix(capsys):
+    # the hulls of the first three prefixes (13, 19 and 25 points) are
+    # disjoint but escape; the fourth (31 points) makes two of them meet
+    code, out, _ = run(capsys, "tent", "cycle", "--a", "637/500", "--n", "6")
+    assert code == 0
+    assert out == dedent("""\
+        # tent cycle
+        # a = 637/500
+        # transient = 0, window = 64, margin = 0
+        # n = 6
+        status: absent
+        overlap: class 2 and class 4
+        """)
+
+
 def test_tent_tower(capsys):
     code, out, _ = run(capsys, "tent", "cycle", "--a", "11/10",
                        "--primes", "2,2", "--window", "128")
@@ -773,12 +804,27 @@ def test_tent_chained_sum_is_an_input_error(capsys):
      "--n", "2"),
     ("tent", "cycle", "--a", "(1+1*sqrt(3))/2", "--margin", "(0+1*sqrt(2))/100",
      "--n", "2"),
+    # hulls that meet never meet the margin: the radicands are checked first
+    ("tent", "cycle", "--a", "sqrt(3)", "--margin", "sqrt(2)/100", "--n", "2"),
+    ("tent", "cycle", "--a", "sqrt(3)", "--margin", "sqrt(2)/100", "--primes", "2,2"),
+    ("tent", "sweep", "--from", "sqrt(3)", "--to", "2", "--step", "1/10",
+     "--margin", "sqrt(2)/100", "--n", "2"),
 ])
 def test_tent_mixed_radicands_are_an_input_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
     assert err.startswith("error: cannot combine sqrt(")
+
+
+def test_argument_errors_are_named(capsys, z6two):
+    for argv, message in (
+        (["ifs", "analyze", z6two, "--bound", "0"], "bound and horizon must be >= 1"),
+        (["tent", "sweep", "--from", "1", "--to", "2", "--step", "0", "--n", "2"],
+         "step must be positive"),
+        (["tent", "cycle", "--a", "13/10", "--primes", "2,x"], "malformed prime list '2,x'"),
+    ):
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 # -- exit code remapping ----------------------------------------------------------

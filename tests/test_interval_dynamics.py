@@ -271,21 +271,21 @@ def test_detect_cycle_margin_can_break_tight_certificates():
 
 def test_detect_cycle_skips_prefixes_whose_hulls_did_not_move(monkeypatch):
     # the widened 13/10 escape runs the whole window of 511 prefixes, but
-    # its hulls change only when the keys are rebuilt, so images are read
-    # at most once per key build: at most 3 tent_eval calls per hull
-    calls = {"tent_eval": 0, "_prefix_keys": 0}
-    for name in calls:
-        original = getattr(interval_dynamics, name)
+    # its hulls stop moving early, and images are read only for a prefix
+    # whose hulls moved: at most 3 tent_eval calls per hull in all
+    calls = 0
+    original = interval_dynamics.tent_eval
 
-        def counting(*args, name=name, original=original):
-            calls[name] += 1
-            return original(*args)
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
 
-        monkeypatch.setattr(interval_dynamics, name, counting)
+    monkeypatch.setattr(interval_dynamics, "tent_eval", counting)
     n = 2
     d = detect_interval_cycle(Fraction(13, 10), n, 1024, Fraction(1, 1000))
     assert d.status == "inconclusive" and d.escape is not None
-    assert 0 < calls["tent_eval"] <= 3 * n * calls["_prefix_keys"]
+    assert 0 < calls <= 3 * n
 
 
 def test_detect_cycle_validation():
@@ -418,19 +418,6 @@ def count_walk_steps(call):
     return steps
 
 
-def keyed_length(n, window, decided):
-    """How many points the detector keys before it decides at the prefix
-    of decided points: the first prefix, then at least twice as many
-    each time a prefix outgrows the keys, never more than the window."""
-    length = 0
-    for m in (*range(2 * n + 1, window, n), window):
-        if m > decided:
-            break
-        if m > length:
-            length = min(window, max(m, 2 * length))
-    return length
-
-
 def memo_points(param):
     """How many critical-orbit points param's memo holds."""
     return len(param._critical) // (3 if isinstance(param.a, Surd) else 1)
@@ -456,13 +443,13 @@ def test_tower_levels_match_fresh_detections(a, window, primes, margin):
 @settings(max_examples=40, deadline=None)
 @given(**tower_args)
 def test_tower_certificate_walks_the_orbit_once(a, window, primes, margin):
-    # one walk for any number of levels, from 1/2 to the last point any
-    # level keys, and never past the window
+    # one walk for any number of levels, from 1/2 to the last point of the
+    # longest prefix a level reads (the one that decides it), and never
+    # past the window
     for depth in range(1, len(primes) + 1):
         sizes = tower_certificate(a, primes[:depth], window, margin).sizes
-        keyed = max(keyed_length(size, window, reference_detection(a, size, window, margin)[1])
-                    for size in sizes)
-        steps = max(keyed - 1, 0)
+        read = max(reference_detection(a, size, window, margin)[1] for size in sizes)
+        steps = max(read - 1, 0)
         assert count_walk_steps(
             lambda: tower_certificate(a, primes[:depth], window, margin)
         ) == steps
@@ -588,15 +575,18 @@ def test_degenerate_exactly_when_one_distinct_sample(a, window, n, margin):
     a=st.one_of(slopes(), st.sampled_from([Fraction(0), Fraction(2), SQRT2, PHI])),
     m=st.integers(min_value=1, max_value=48),
 )
-def test_window_keys_order_the_samples_exactly(a, m):
+def test_detector_comparison_orders_the_samples_exactly(a, m):
+    # the detector compares orbit points as integer triples, a rational
+    # point k as (P_k, 0, 2*s^k); the comparison must order the exact points
     samples = plain_orbit(a, m - 1)
     param = TentParam(a)
-    den, keys = interval_dynamics._prefix_keys(param, m)
-    if not isinstance(param.a, Surd):  # a rational sample's key is its numerator over den
-        assert [x * den for x in samples] == keys
-    for key, x in zip(keys, samples):
-        assert [key < other for other in keys] == [x < y for y in samples]
-        assert [key == other for other in keys] == [x == y for y in samples]
+    _, q, s, r = param._kernel
+    critical = interval_dynamics._critical(param, 0, m)
+    triples = critical if q else [(P, 0, 2 * s ** k) for k, P in enumerate(critical)]
+    assert [interval_dynamics._reduced(*t, r) for t in triples] == samples
+    for t, x in zip(triples, samples):
+        signs = [interval_dynamics._compare(t, u, r) for u in triples]
+        assert signs == [(x > y) - (x < y) for y in samples]
     assert memo_points(param) == m
 
 
@@ -625,6 +615,15 @@ def test_omega_samples_from_any_point_follow_tent_eval(a, y, transient, window):
 def test_omega_estimate_rejects_a_start_outside_the_unit_interval():
     with pytest.raises(InputError, match=r"point 3/2 outside \[0, 1\]"):
         omega_limit_estimate(Fraction(3, 2), Fraction(3, 2), 0, 4)
+
+
+def test_omega_estimate_checks_the_resolution_radicand_up_front():
+    # a window of one point compares nothing, so only the up-front check
+    # can see that the resolution lives in another field than the slope
+    sqrt3, resolution = parse_exact("sqrt(3)"), parse_exact("sqrt(2)/100")
+    for window in (1, 2):
+        with pytest.raises(ExactnessError, match=r"sqrt\(3\) with sqrt\(2\)"):
+            omega_limit_estimate(sqrt3, Fraction(1, 3), 0, window, resolution)
 
 
 # -- differential check against the exact-number detector ------------------------------
