@@ -35,6 +35,18 @@ is a minimal set if it holds no pair of C_L, and then it is the closure
 of each of its states; otherwise x lies in no minimal set. On a system
 of bijections no word collapses a pair, and C_L is empty.
 
+A rejected closure rejects backwards. Call a state bad when its closure
+holds a pair of C_L. A bad state lies in no minimal set, as each state
+of a minimal set M has closure M, which holds no pair. If R_L[y] holds a
+bad state z, the closure of y holds z, so it holds the closure of z and
+its pair: y is bad too. So when the closure of the lowest state x left
+is rejected, _pair_free_closures drops x, then every state left whose
+R_L row meets the states just dropped, and repeats that step until it
+drops none. Every dropped state is bad, so no minimal set loses a
+state, and a closure that would be rejected again is not grown again.
+Closures still grow over all of R_L, dropped states included, so an
+accepted block is the whole closure of its lowest state.
+
 A word of length L+1 is a first letter f followed by a word of length
 L, so R_{L+1}[x] is the OR of R_L[f(x)] over the maps f (_reach_walk),
 and C_{L+1} is the set of pairs {x, y} such that some map f has
@@ -43,10 +55,21 @@ collapse, so C_L is the set of pairs whose shortest collapsing word has
 length at most L, and one backward breadth-first search from the
 diagonal of the pair graph, with edges {x, y} -> {f(x), f(y)}, finds
 all those lengths (_collapse_layers; the graph of Eppstein's reset
-sequences, SIAM J. Comput. 1990). nm_set walks (R_L, C_L) and builds
-no word table; minimal_sets reads R_n and C_n off the x-columns of the
-length-n tables. Minimality is decided on the union graph (an edge
-x -> f(x) for every map f) by two searches, once per system.
+sequences, SIAM J. Comput. 1990). Both R_L and C_L are held as one
+bitmask per state: bit y of C_L's entry x is set when {x, y} is in C_L.
+nm_set walks (R_L, C_L) and builds no word table; minimal_sets reads
+R_n and C_n off the x-columns of the length-n tables. Minimality is
+decided on the union graph (an edge x -> f(x) for every map f) by two
+searches, once per system.
+
+One walk per system. nm_set keeps its outcome on the system: the bound
+it walked to, whether R repeated, and the members found. Whether n is a
+member depends on the layers 1..n alone, and a walk to a bound b takes
+the first steps of a walk to any larger bound B, b of them or fewer
+when R repeats first. So the members up to b of the walk to B are those
+of the walk to b. After a repeat no member appears at any length
+(nm_set), so the stored members then answer every bound. Only a call
+past an unrepeated walk walks again, to its own bound.
 
 One summary per system. _summary(F) runs the two searches of is_minimal
 once and keeps what they show: whether the system is minimal; the
@@ -101,7 +124,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import InputError, NoCanonicalCoverError
 
@@ -117,12 +140,13 @@ class FiniteIFS:
     metric axioms (checked, including separation and the triangle
     inequality); omitted means the discrete metric.
 
-    _summary caches the system's _Summary once it is asked for; the
-    system is immutable, and the cache takes no part in equality,
-    hashing or repr.
+    _summary caches the system's _Summary once it is asked for, and
+    _walk the outcome of its longest nm_set walk; the system is
+    immutable, and neither cache takes part in equality, hashing or
+    repr.
     """
 
-    __slots__ = ("n_states", "labels", "_tables", "_by_label", "metric", "_summary")
+    __slots__ = ("n_states", "labels", "_tables", "_by_label", "metric", "_summary", "_walk")
 
     def __init__(self, tables, metric=None):
         if isinstance(tables, Mapping):
@@ -159,6 +183,7 @@ class FiniteIFS:
         self._by_label = dict(zip(labels, rows))
         self.metric = _validate_metric(metric, n) if metric is not None else None
         self._summary = None
+        self._walk = None
 
     # -- basic access ----------------------------------------------------
 
@@ -285,65 +310,100 @@ def minimal_sets(F: FiniteIFS, n: int) -> MinimalSetReport:
     """
     tables = tables_of_length(F, n)
     reach = tuple(sum(1 << y for y in set(column)) for column in zip(*tables))
-    partners: dict[int, int] = {}
+    partners = [0] * F.n_states
     if not _summary(F).bijective:
         for t in tables:
             fibers: dict[int, int] = {}
             for x, y in enumerate(t):
                 fibers[y] = fibers.get(y, 0) | 1 << x
             for x, y in enumerate(t):
-                partners[x] = partners.get(x, 0) | fibers[y] & ~(1 << x)
+                partners[x] |= fibers[y] & ~(1 << x)
     blocks = _pair_free_closures(reach, partners)
-    sets = tuple(sorted(tuple(x for x in F.states if b >> x & 1) for b in blocks))
+    sets = tuple(sorted(tuple(_bits(b)) for b in blocks))
     whole = len(sets) == 1 and len(sets[0]) == F.n_states
     return MinimalSetReport(n=n, sets=sets, is_whole_space=whole)
 
 
-def _pair_free_closures(reach: Sequence[int], partners: Mapping[int, int]) -> frozenset[int]:
+def _bits(mask: int) -> Iterator[int]:
+    """Yield the states whose bits are set in mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _pair_free_closures(reach: Sequence[int], partners: Sequence[int]) -> frozenset[int]:
     """R's minimal sets as bitmasks: the closures holding no collapsed pair.
 
-    Bit y of partners[x] is set when {x, y} collapses; a state without
-    partners may be left out.
+    Bit y of partners[x] is set when {x, y} collapses. A rejected
+    closure drops its lowest state and every state left that reaches it
+    (module docstring).
     """
     blocks = []
     todo = (1 << len(reach)) - 1
     while todo:
         low = todo & -todo
-        block, grow = 0, low
+        block, grow, near = 0, low, 0
         while grow:
             bit = grow & -grow
+            x = bit.bit_length() - 1
             block |= bit
-            grow = (grow | reach[bit.bit_length() - 1]) & ~block
-        if partners and any(block >> x & 1 and mask & block for x, mask in partners.items()):
-            todo ^= low  # the lowest state left lies in no minimal set
+            near |= partners[x]
+            grow = (grow | reach[x]) & ~block
+        if near & block:
+            dropped = low
+            while dropped:
+                todo ^= dropped
+                found, rest = 0, todo
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    if reach[bit.bit_length() - 1] & dropped:
+                        found |= bit
+                dropped = found
         else:
             blocks.append(block)
             todo &= ~block
     return frozenset(blocks)
 
 
-def _collapse_layers(F: FiniteIFS) -> list[list[tuple[int, int]]]:
-    """The collapsing pairs x < y, grouped by shortest collapsing length.
+def _collapse_layers(F: FiniteIFS) -> Iterator[tuple[int, ...]]:
+    """Yield C_L for L = 1, 2, ... while it grows, as partner bitmasks.
 
-    Item L-1 holds those first collapsed at length L, so C_L is the union
-    of the first L items: the layers of a backward breadth-first search
-    from the diagonal of the pair graph (see the module docstring).
+    Bit y of entry x is set when some word of length at most L sends x
+    and y to one state. Each step is one layer of a backward
+    breadth-first search from the diagonal of the pair graph (see the
+    module docstring); the partner masks mark the pairs already found.
+    A system of bijections yields nothing.
     """
     if _summary(F).bijective:
-        return []
-    preimages = [[[x for x, z in enumerate(t) if z == y] for y in F.states] for t in F._tables]
-    layers = []
-    seen = {(x, x) for x in F.states}
-    frontier = list(seen)
+        return
+    own = [1 << x for x in F.states]
+    preimages = []
+    for t in F._tables:
+        lists: list[list[int]] = [[] for _ in own]
+        masks = [0] * F.n_states
+        for x, y in enumerate(t):
+            lists[y].append(x)
+            masks[y] |= own[x]
+        preimages.append((lists, masks))
+    partners = [0] * F.n_states
+    frontier = [(x, x) for x in F.states]
     while True:
-        frontier = [pair for pair in dict.fromkeys(
-            (x, y) if x < y else (y, x)
-            for u, v in frontier for pre in preimages for x in pre[u] for y in pre[v]
-        ) if pair not in seen]
-        if not frontier:
-            return layers
-        seen.update(frontier)
-        layers.append(frontier)
+        found = []
+        for u, v in frontier:
+            for lists, masks in preimages:
+                for x in lists[u]:
+                    new = masks[v] & ~(partners[x] | own[x])
+                    if new:
+                        partners[x] |= new
+                        for y in _bits(new):
+                            partners[y] |= own[x]
+                            found.append((x, y))
+        if not found:
+            return
+        frontier = found
+        yield tuple(partners)
 
 
 def _reach_walk(F: FiniteIFS, limit: int):
@@ -463,6 +523,14 @@ class NMSet:
         return iter(self.members)
 
 
+class _Walk(NamedTuple):
+    """The outcome of one nm_set walk: bound walked, repeat seen, members."""
+
+    bound: int
+    repeated: bool
+    members: tuple[int, ...]
+
+
 def nm_set(F: FiniteIFS, bound: int) -> NMSet:
     """Members n <= bound: some n-th power minimal set is new at n.
 
@@ -475,29 +543,36 @@ def nm_set(F: FiniteIFS, bound: int) -> NMSet:
     later minimal set has been seen and no new member can appear. R_n,
     the n-th Boolean power of the union graph, repeats within
     (N-1)^2 + 1 + d steps on N states. The returned bound is the one
-    asked for, however early the walk stopped.
+    asked for, however early the walk stopped. The walk's outcome stays
+    on F, and a later call that it covers reads it (module docstring).
     """
     if bound < 1:
         raise InputError(f"bound must be >= 1, got {bound}")
     if not is_minimal(F):
         raise InputError("system is not minimal; its power structure is undefined here")
+    walk = F._walk
+    if walk is None or not (walk.repeated or bound <= walk.bound):
+        walk = F._walk = _nm_walk(F, bound)
+    return NMSet(bound=bound, members=tuple(n for n in walk.members if n <= bound))
+
+
+def _nm_walk(F: FiniteIFS, bound: int) -> _Walk:
+    """nm_set's walk over (R_n, C_n) for n = 1, ..., bound, or to a repeat."""
     layers = _collapse_layers(F)
-    partners: dict[int, int] = {}
+    partners: Sequence[int] = (0,) * F.n_states
     members = []
     earlier: set[int] = set()
     seen = set()
     for n, reach in enumerate(_reach_walk(F, bound), start=1):
         if reach in seen:
-            break
+            return _Walk(bound, True, tuple(members))
         seen.add(reach)
-        for x, y in layers[n - 1] if n <= len(layers) else ():
-            partners[x] = partners.get(x, 0) | 1 << y
-            partners[y] = partners.get(y, 0) | 1 << x
+        partners = next(layers, partners)
         blocks = _pair_free_closures(reach, partners)
         if n == 1 or not blocks <= earlier:
             members.append(n)
         earlier |= blocks
-    return NMSet(bound=bound, members=tuple(members))
+    return _Walk(bound, False, tuple(members))
 
 
 def spectrum(F: FiniteIFS, bound: int) -> NMSet:

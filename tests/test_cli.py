@@ -1,3 +1,5 @@
+import hashlib
+import random
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -370,6 +372,51 @@ def test_ifs_verify_base_check_fails_on_a_spectrum_prime_without_a_level(capsys,
         recurrent: 0
         injective on recurrent: yes
         """)
+
+
+def test_ifs_analyze_walks_the_collapsed_pairs_once(capsys, tmp_path, monkeypatch):
+    # the spectrum walks once; canonical_cover's check for each of the
+    # members 1 and 3 reads that walk instead of walking again
+    p = tmp_path / "fold4.ifs"
+    p.write_text(FOLD4_TEXT)
+    calls = []
+    collapse = finite_ifs._collapse_layers
+
+    def counting(F):
+        calls.append(F)
+        return collapse(F)
+
+    monkeypatch.setattr(finite_ifs, "_collapse_layers", counting)
+    code, out, _ = run(capsys, "ifs", "analyze", str(p))
+    assert code == 0
+    assert "spectrum: 1 3" in out.splitlines()
+    assert len(calls) == 1
+
+
+def perm_and_map_system(n):
+    """The CI hang guard's system: the first minimal draw of random.Random(1)."""
+    r = random.Random(1)
+    while True:
+        F = finite_ifs.FiniteIFS({"a": tuple(r.sample(range(n), n)),
+                                  "b": tuple(r.randrange(n) for _ in range(n))})
+        if finite_ifs.is_minimal(F):
+            return F
+
+
+# sha256 of the stdout without its "# input:" line, as printed by a closure
+# pass that grows one closure per state and drops one state per rejection
+@pytest.mark.parametrize("op, digest", [
+    ("analyze", "30a712910c13232b5e0fc13833e25e70f92da132b5f4bd6d0cecb91fa7886e23"),
+    ("verify", "10304fc8502d1e8936fbcfad750ee034a7be6e446818ca4b146eb69c034e37c7"),
+], ids=["analyze", "verify"])
+def test_ifs_reports_on_a_200_state_non_bijective_system_keep_their_bytes(
+        capsys, tmp_path, op, digest):
+    p = tmp_path / "perm-map-200.ifs"
+    p.write_text(format_ifs(perm_and_map_system(200)))
+    code, out, _ = run(capsys, "ifs", op, str(p))
+    assert code == 0
+    text = "".join(l for l in out.splitlines(True) if not l.startswith("# input:"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_ifs_verify_rejects_non_minimal(capsys, tmp_path):

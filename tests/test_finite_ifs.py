@@ -458,16 +458,14 @@ def test_nm_set_on_permutation_systems_matches_per_length_oracle(F):
 def walk_collections(F, limit):
     """The minimal sets of lengths 1..limit as nm_set's walk finds them.
 
-    Each length takes R_L from the R walk and C_L as the union of the
-    first L layers of the collapsed-pair search, rebuilt from scratch.
+    Each length takes R_L from the R walk and C_L as the L-th partner
+    masks of the collapsed-pair search, or its last ones once C_L stops
+    growing (no pair on a system of bijections).
     """
-    layers = finite_ifs._collapse_layers(F)
+    layers = list(finite_ifs._collapse_layers(F))
     collections = []
     for n, reach in enumerate(finite_ifs._reach_walk(F, limit), start=1):
-        partners = {}
-        for x, y in itertools.chain.from_iterable(layers[:n]):
-            partners[x] = partners.get(x, 0) | 1 << y
-            partners[y] = partners.get(y, 0) | 1 << x
+        partners = layers[min(n, len(layers)) - 1] if layers else (0,) * F.n_states
         blocks = finite_ifs._pair_free_closures(reach, partners)
         collections.append(tuple(sorted(
             tuple(x for x in F.states if block >> x & 1) for block in blocks
@@ -497,6 +495,125 @@ def test_nm_set_matches_the_table_oracle_at_every_bound(F):
     members = layer_oracle_members(F, top)
     for bound in range(1, top + 1):
         assert nm_set(F, bound).members == tuple(m for m in members if m <= bound)
+
+
+# -- the closure pass against brute force ---------------------------------------
+
+
+def closure_of(reach, x):
+    """The forward closure of x under the masks reach, by brute force."""
+    block, frontier = {x}, [x]
+    while frontier:
+        y = frontier.pop()
+        for z in range(len(reach)):
+            if reach[y] >> z & 1 and z not in block:
+                block.add(z)
+                frontier.append(z)
+    return block
+
+
+@st.composite
+def reach_and_partners(draw):
+    """Random R masks and symmetric collapsed pairs; no system behind them."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    reach = tuple(draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    partners = [0] * n
+    for x, y in pairs:
+        if x != y:
+            partners[x] |= 1 << y
+            partners[y] |= 1 << x
+    return reach, tuple(partners)
+
+
+def as_mask(states):
+    return sum(1 << x for x in states)
+
+
+# a transient state 0: its closure holds the pair {1, 2} and is rejected,
+# while the bottom sets {1} and {2, 3} inside it hold no pair and survive
+@example(args=((0b0110, 0b0010, 0b1000, 0b0100), (0, 0b0100, 0b0010, 0)))
+# the closure {0, 4} of state 0 holds the pair {0, 4}; the chain 3 -> 2 ->
+# 1 -> 0 of predecessors is rejected with it, and {4} and {5} survive
+@example(args=((0b010001, 0b000001, 0b000010, 0b000100, 0b010000, 0b100000),
+               (0b010000, 0, 0, 0, 0b000001, 0)))
+@settings(max_examples=300, deadline=None)
+@given(args=reach_and_partners())
+def test_pair_free_closures_match_brute_force(args):
+    reach, partners = args
+    n = len(reach)
+    closures = [closure_of(reach, x) for x in range(n)]
+    pair_free = [
+        not any(partners[x] >> y & 1 for x in c for y in c)
+        for c in closures
+    ]
+    # the pass takes states lowest first, so on arbitrary masks a
+    # pair-free closure counts when no lower state's one holds its state
+    expected = {
+        as_mask(closures[x]) for x in range(n)
+        if pair_free[x] and not any(pair_free[w] and x in closures[w] for w in range(x))
+    }
+    assert finite_ifs._pair_free_closures(reach, partners) == expected
+    # on R_L every state of a pair-free closure has that closure (module
+    # docstring); then the oracle keeps the closure of every such state
+    if all(closures[y] == closures[x] for x in range(n) if pair_free[x] for y in closures[x]):
+        assert expected == {as_mask(c) for c, free in zip(closures, pair_free) if free}
+
+
+# -- one nm_set walk per system ----------------------------------------------
+
+
+@pytest.mark.parametrize("F, first, second, repeated", [
+    (FOLD4, 20, 2, True),    # the first walk stops at a repeat of R
+    (FOLD4, 2, 20, False),   # the first walk reaches its bound, 2
+    (FOLD4, 4, 3, True),
+    (Z6, 2, 6, False),
+    (Z6, 20, 3, True),
+    (NONSURJ, 1, 9, False),
+], ids=["fold4-long-short", "fold4-short-long", "fold4-repeat-at-bound",
+        "z6-short-long", "z6-long-short", "nonsurj-short-long"])
+def test_nm_set_on_a_reused_system_answers_as_a_fresh_one(F, first, second, repeated):
+    reused = FiniteIFS({label: F.table(label) for label in F.labels})
+    assert nm_set(reused, first) == nm_set(FiniteIFS({l: F.table(l) for l in F.labels}), first)
+    assert reused._walk.repeated == repeated
+    assert nm_set(reused, second) == nm_set(FiniteIFS({l: F.table(l) for l in F.labels}), second)
+
+
+@settings(max_examples=100, deadline=None)
+@given(F=small_systems().filter(is_minimal),
+       bounds=st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=6))
+def test_nm_set_on_a_reused_system_matches_fresh_systems_in_any_order(F, bounds):
+    tables = {label: F.table(label) for label in F.labels}
+    for bound in bounds:
+        assert nm_set(F, bound) == nm_set(FiniteIFS(tables), bound)
+
+
+def test_nm_set_walks_once_for_covered_bounds(monkeypatch):
+    walks = []
+    walk = finite_ifs._nm_walk
+
+    def counting(F, bound):
+        walks.append(bound)
+        return walk(F, bound)
+
+    monkeypatch.setattr(finite_ifs, "_nm_walk", counting)
+    F = FiniteIFS({label: FOLD4.table(label) for label in FOLD4.labels})
+    nm_set(F, 2)
+    nm_set(F, 1)
+    nm_set(F, 2)  # covered by the walk to 2
+    nm_set(F, 4)  # past an unrepeated walk: walks again, and R repeats
+    nm_set(F, 10**9)
+    nm_set(F, 3)
+    assert walks == [2, 4]
+
+
+def test_nm_set_memo_stays_out_of_equality_hash_and_repr():
+    asked, fresh = (FiniteIFS({l: FOLD4.table(l) for l in FOLD4.labels}) for _ in range(2))
+    before = repr(asked), hash(asked)
+    assert nm_set(asked, 4).members == (1, 3)
+    assert asked._walk is not None and fresh._walk is None
+    assert asked == fresh and hash(asked) == hash(fresh) == before[1]
+    assert repr(asked) == repr(fresh) == before[0]
 
 
 def minimal_perm_and_map_system(n, seed):
