@@ -8,12 +8,12 @@ equality and hashing compare fields.
 Each operation is one integer formula over two triples (p, q, s): a
 rational operand n/d enters as (n, 0, d), so no operation has a
 separate rational case. The result is reduced with one gcd and is a
-Fraction when the irrational part cancels. Comparisons run no gcd: both
-sides go over a common positive denominator and one integer rule
-(_sign) decides, comparing P^2 with Q^2*r when P and Q have opposite
-signs. Nothing here ever rounds. Combining two surds with different
-radicands raises ExactnessError instead of silently falling back to
-floats.
+Fraction when the irrational part cancels. Comparisons run no gcd:
+_compare puts both sides over a common positive denominator and one
+integer rule (_sign) decides, comparing P^2 with Q^2*r when P and Q have
+opposite signs. Nothing here ever rounds. Combining two surds with
+different radicands raises ExactnessError instead of silently falling
+back to floats.
 
 The canonical text form is (p+q*sqrt(r))/s, the reduced triple itself;
 parse_exact reads it with q*sqrt(r) written as sqrt(r) too, as in
@@ -207,14 +207,11 @@ class Surd:
     # -- comparisons ---------------------------------------------------
 
     def _cmp(self, other) -> int:
-        """Sign of self - other over the common positive denominator
-        s*s2, so no gcd runs."""
+        """Sign of self - other, by _compare on the two triples."""
         t = self._parts(other)
         if t is None:
             raise TypeError(f"cannot compare Surd with {type(other).__name__}")
-        p, q, s = self._p, self._q, self._s
-        p2, q2, s2 = t
-        return _sign(p * s2 - p2 * s, q * s2 - q2 * s, self.r)
+        return _compare((self._p, self._q, self._s), t, self.r)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
@@ -278,6 +275,15 @@ def _sign(p: int, q: int, r: int) -> int:
     if sp * sq >= 0:
         return sp or sq
     return sp if p * p > q * q * r else sq
+
+
+def _compare(x: tuple, y: tuple, r: int) -> int:
+    """The sign of x - y for x = (P + Q*sqrt(r))/D and y = (P' + Q'*sqrt(r))/D'
+    given as integer triples with D, D' > 0 (a rational n/d as (n, 0, d)):
+    x - y = ((P*D' - P'*D) + (Q*D' - Q'*D)*sqrt(r))/(D*D'), so no gcd runs."""
+    P, Q, D = x
+    P2, Q2, D2 = y
+    return _sign(P * D2 - P2 * D, Q * D2 - Q2 * D, r)
 
 
 def exact_sign(x: ExactNumber) -> int:

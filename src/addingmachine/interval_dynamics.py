@@ -21,16 +21,17 @@ step is
     x < 1/2:   (p*P + q*Q*r, p*Q + q*P, s*D)
     x >= 1/2:  (p*E - q*Q*r, q*E - p*Q, s*D)   with E = D - P,
 
-where x < 1/2 is _sign(2P - D, 2Q, r) < 0. _walk is that loop.
+where x < 1/2 is _sign(2P - D, 2Q, r) < 0. _walk(param) is that loop:
+it yields c_0 = 1/2 = (1, 0, 2), c_1, c_2, ... as triples.
 
-For a rational slope the walk keeps numerators alone: the k-th point
-is P_k/(2*s^k), never reduced, because reducing could only remove one
-factor 2. Proof: gcd(p, s) = 1 and P_0 = 1. If gcd(P_k, s) = 1, then
-P_{k+1} is p*P_k or p*(2*s^k - P_k), and for k >= 1 the latter is
--p*P_k modulo every prime of s (for k = 0 it is p). So every P_k is
-coprime to s, the only prime P_k and 2*s^k can share is 2, and they
-share 4 only if s is even, which makes P_k odd. Hence gcd(P_k, 2*s^k)
-is 1 or 2, and a gcd per step would buy at most one bit.
+For a rational slope the k-th point is the triple (P_k, 0, 2*s^k), never
+reduced, because reducing could only remove one factor 2. Proof:
+gcd(p, s) = 1 and P_0 = 1. If gcd(P_k, s) = 1, then P_{k+1} is p*P_k or
+p*(2*s^k - P_k), and for k >= 1 the latter is -p*P_k modulo every prime
+of s (for k = 0 it is p). So every P_k is coprime to s, the only prime
+P_k and 2*s^k can share is 2, and they share 4 only if s is even, which
+makes P_k odd. Hence gcd(P_k, 2*s^k) is 1 or 2, and a gcd per step would
+buy at most one bit.
 
 A surd walk reduces each step with one gcd(P, Q, D), which keeps its
 triples canonical (equal values, equal triples) and short: without it a
@@ -38,18 +39,10 @@ periodic orbit would carry a common factor that grows with every step.
 The golden mean (1+sqrt(5))/2 returns to 1/2 every three steps while
 s^k = 2^k grows.
 
-Each TentParam keeps the walked prefix of its critical orbit in integer
-form, in one flat list: numerators for a rational slope, whose
-denominators 2*s^k follow from the index, and P, Q, D of each reduced
-triple in turn for a surd slope, with no tuple per point. _critical
-walks it on and hands its integers to kneading_sequence and
-detect_interval_cycle, so the levels of one tower_certificate, or any
-other consumers handed the same TentParam, share one walk. Readers may
-interleave, even from two threads: an extension only stores entries
-that follow from the last one, and the memo never shrinks, so a racing
-extension rewrites equal values. The memo lives exactly as long as its
-TentParam: public functions given a raw slope build a fresh TentParam,
-so every call with an equal slope value walks the orbit again. Nothing
+Each call walks the orbit afresh, and nothing outlives the call: a
+TentParam holds no orbit state, and kneading_sequence holds one point at
+a time. The levels of one tower_certificate share one _CriticalWalk (the
+points read so far and the rest of the walk), so they walk once. Nothing
 is cached across calls (no module-level table, no lru_cache), because a
 process-wide cache would grow with every slope ever seen and would only
 pay off for repeated identical calls, which a CLI run never makes.
@@ -92,16 +85,15 @@ prefix whose hulls decide:
 
 A margin widens the hulls (clamped to [0, 1]) for the certification
 only; widened hulls that meet or escape make the prefix grow, since a
-widened overlap proves nothing. When every point read is 1/2 (a = 1,
-or a window of one point) all hulls are that point, and the status is
-"degenerate". The levels of one tower share the critical-orbit memo
-and nothing else, and it never holds more than the window's points.
-Each class hull grows one point at a time by one exact comparison of
-integer triples, _sign(P*D' - P'*D, Q*D' - Q'*D, r) for
-(P + Q*sqrt(r))/D against (P' + Q'*sqrt(r))/D' (_compare), so a window
-costs O(window) comparisons. Only the 2n endpoints become exact
-numbers, and the images of the hulls are read off tent_eval at their
-ends.
+widened overlap proves nothing. When every point read is 1/2 (a = 1, or
+a window of one point) all hulls are that point, and the status is
+"degenerate". The levels of one tower share the points read and nothing
+else, and never more than the window's points. Each class hull grows one
+point at a time by one exact comparison of integer triples,
+_sign(P*D' - P'*D, Q*D' - Q'*D, r) for (P + Q*sqrt(r))/D against
+(P' + Q'*sqrt(r))/D' (exactnum._compare), so a window costs O(window)
+comparisons. Only the 2n endpoints become exact numbers, and the images
+of the hulls are read off tent_eval at their ends.
 """
 
 from __future__ import annotations
@@ -109,12 +101,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import accumulate, chain, count, islice
+from itertools import accumulate, count, islice
 from math import gcd
 from operator import mul
 
 from .errors import ExactnessError, InputError
-from .exactnum import ExactNumber, Surd, _reduced, _sign, format_exact, parse_exact
+from .exactnum import ExactNumber, Surd, _compare, _reduced, _sign, format_exact, parse_exact
 
 HALF = Fraction(1, 2)
 
@@ -134,15 +126,12 @@ class TentParam:
     """A validated tent-map slope in [0, 2].
 
     _kernel is the slope as integers (p, q, s, r), with q = r = 0 for a
-    rational p/s, and _critical the walked prefix of the critical orbit
-    in integer form, which kneading_sequence and detect_interval_cycle
-    read (see the module docstring). Neither takes part in equality,
+    rational p/s, which _walk steps by. It takes no part in equality,
     hashing or repr.
     """
 
     a: ExactNumber
     _kernel: tuple = field(init=False, compare=False, repr=False)
-    _critical: list = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         value = _coerce(self.a)
@@ -150,11 +139,10 @@ class TentParam:
         if value < 0 or value > 2:
             raise InputError(f"slope must lie in [0, 2], got {format_exact(value)}")
         if isinstance(value, Surd):
-            kernel, start = (value._p, value._q, value._s, value.r), [1, 0, 2]
+            kernel = (value._p, value._q, value._s, value.r)
         else:
-            kernel, start = (value.numerator, 0, value.denominator, 0), [1]
+            kernel = (value.numerator, 0, value.denominator, 0)
         object.__setattr__(self, "_kernel", kernel)
-        object.__setattr__(self, "_critical", start)
 
     @classmethod
     def from_text(cls, text: str) -> "TentParam":
@@ -176,21 +164,19 @@ def tent_eval(a, x) -> ExactNumber:
     return a * (1 - x)
 
 
-def _walk(param: TentParam, P: int, Q: int | None, D: int):
-    """Yield the critical-orbit points after x = (P + Q*sqrt(r))/D in
-    integer form (see the module docstring).
-
-    For a rational slope Q is None and x is the critical point
-    P/(2*s^k), D = 2*s^k: each point is then its numerator alone, over s
-    times the previous denominator, and nothing is reduced. For a surd
-    slope each point is a triple (P, Q, D) reduced by gcd(P, Q, D).
-    """
+def _walk(param: TentParam):
+    """Yield the critical orbit c_0 = 1/2, c_1, ... as integer triples
+    (P, Q, D) (see the module docstring): over D = 2*s^k and never
+    reduced for a rational slope, reduced by gcd(P, Q, D) for a surd
+    slope."""
     p, q, s, r = param._kernel
-    if Q is None:
+    P, Q, D = 1, 0, 2
+    yield P, Q, D
+    if not q:
         while True:
             P = p * P if 2 * P < D else p * (D - P)
             D *= s
-            yield P
+            yield P, 0, D
     while True:
         if _sign(2 * P - D, 2 * Q, r) < 0:
             P, Q = p * P + q * Q * r, p * Q + q * P
@@ -204,28 +190,19 @@ def _walk(param: TentParam, P: int, Q: int | None, D: int):
         yield P, Q, D
 
 
-def _critical(param: TentParam, start: int, stop: int) -> list:
-    """Points start, ..., stop - 1 of param's critical orbit in integer
-    form, numerators or reduced triples; the memo is walked on first if
-    it is shorter. A surd memo is flat, P, Q, D after one another, so it
-    holds no tuple per point."""
-    memo = param._critical
-    _, q, s, _ = param._kernel
-    width = 3 if q else 1
-    k = len(memo) // width
-    if k < stop:
-        # point k - 1 by its index: a racing reader may have walked on since
-        last = tuple(memo[3 * k - 3:3 * k]) if q else (memo[k - 1], None, 2 * s ** (k - 1))
-        steps = islice(_walk(param, *last), stop - k)
-        new = list(chain.from_iterable(steps) if q else steps)
-        # one assignment that runs no Python code, so a racing reader sees
-        # the memo before or after it; one that got further first finds
-        # its entries rewritten with equal values
-        memo[k * width:stop * width] = new
-    if q:
-        flat = memo[3 * start:3 * stop]
-        return list(zip(flat[0::3], flat[1::3], flat[2::3]))
-    return memo[start:stop]
+class _CriticalWalk:
+    """One call's read of a slope's critical orbit: the TentParam, the
+    points read so far as triples, and the rest of its _walk."""
+
+    __slots__ = ("param", "points", "rest")
+
+    def __init__(self, param: TentParam):
+        self.param, self.points, self.rest = param, [], _walk(param)
+
+    def read(self, m: int) -> list:
+        """The points read so far, walked on to at least c_0, ..., c_(m-1)."""
+        self.points += islice(self.rest, max(m - len(self.points), 0))
+        return self.points
 
 
 def _check_field(param: TentParam, *xs) -> None:
@@ -299,16 +276,10 @@ def kneading_sequence(a, length: int) -> str:
     a = _slope(a)
     if length < 0:
         raise InputError(f"length must be >= 0, got {length}")
-    _, q, s, r = a._kernel
-    points = _critical(a, 1, length + 1)
-    if q:  # the sign of x - 1/2 for x = (P + Q*sqrt(r))/D
-        signs = [_sign(2 * P - D, 2 * Q, r) for P, Q, D in points]
-    else:  # the k-th point P/(2*s^k) is 1/2 at P = s^k
-        signs, half = [], 1
-        for P in points:
-            half *= s
-            signs.append((P > half) - (P < half))
-    return "".join("CRL"[sign] for sign in signs)  # sign -1 picks "L"
+    r = a._kernel[3]
+    # the sign of x - 1/2 for x = (P + Q*sqrt(r))/D; sign -1 picks "L"
+    return "".join("CRL"[_sign(2 * P - D, 2 * Q, r)]
+                   for P, Q, D in islice(_walk(a), 1, length + 1))
 
 
 @dataclass(frozen=True)
@@ -392,15 +363,6 @@ def _tent_image(a: TentParam, lo, hi):
     return (left if left <= right else right), tent_eval(a, HALF)
 
 
-def _compare(x: tuple, y: tuple, r: int) -> int:
-    """The sign of x - y for points x = (P + Q*sqrt(r))/D and
-    y = (P' + Q'*sqrt(r))/D' given as integer triples with D, D' > 0:
-    x - y = ((P*D' - P'*D) + (Q*D' - Q'*D)*sqrt(r))/(D*D')."""
-    P, Q, D = x
-    P2, Q2, D2 = y
-    return _sign(P * D2 - P2 * D, Q * D2 - Q2 * D, r)
-
-
 def detect_interval_cycle(a, n: int, window: int = 64, margin=0) -> CycleDetection:
     """Look for n disjoint closed intervals cyclically permuted by T_a.
 
@@ -414,14 +376,15 @@ def detect_interval_cycle(a, n: int, window: int = 64, margin=0) -> CycleDetecti
 
     Each hull is kept as the indices of its lowest and highest point and
     grows one point at a time: a new point is compared with the two ends
-    of its class by _compare, a rational slope's point k read as the
-    triple (P_k, 0, 2*s^k). So a window costs O(window) comparisons, and
-    the walk stops at the prefix that decides. A prefix in which no hull
-    moved would repeat the last verdict, which did not decide, so it is
-    skipped. Only the 2n endpoints become exact numbers, once the hulls
+    of its class by _compare on integer triples. So a window costs
+    O(window) comparisons, and the walk stops at the prefix that decides.
+    A prefix in which no hull moved would repeat the last verdict, which
+    did not decide, so it is skipped. Only the 2n endpoints become exact numbers, once the hulls
     are known to be disjoint.
     """
-    a = _slope(a)
+    # tower_certificate hands its levels one shared _CriticalWalk as a
+    orbit = a if isinstance(a, _CriticalWalk) else _CriticalWalk(_slope(a))
+    a = orbit.param
     margin = _coerce(margin)
     if n < 1:
         raise InputError(f"cycle length must be >= 1, got {n}")
@@ -432,25 +395,19 @@ def detect_interval_cycle(a, n: int, window: int = 64, margin=0) -> CycleDetecti
     _check_field(a, margin)
     if window < n:  # some residue class gets no point
         return CycleDetection(n=n, status="inconclusive", window=window, margin=margin)
-    _, q, s, r = a._kernel
-    points, den = [], 2  # c_0, c_1, ... as triples; den = 2*s^k for the next rational point
+    r = a._kernel[3]
     by_value = cmp_to_key(lambda x, y: _compare(x, y, r))
     lo, hi = list(range(n)), list(range(n))  # each class's lowest and highest point
-    moved, escape = True, None
+    moved, escape, read = True, None, 0
     for m in (*range(2 * n + 1, window, n), window):
-        read = len(points)
-        if q:
-            points += _critical(a, read, m)
-        else:
-            for P in _critical(a, read, m):
-                points.append((P, 0, den))
-                den *= s
+        points = orbit.read(m)
         for k in range(max(read, n), m):
             j, x = k % n, points[k]
             if _compare(x, points[lo[j]], r) < 0:
                 lo[j], moved = k, True
             elif _compare(x, points[hi[j]], r) > 0:
                 hi[j], moved = k, True
+        read = m
         if not moved:
             continue  # the same hulls as the last prefix examined, which did not decide
         moved = False
@@ -517,7 +474,9 @@ def tower_certificate(a, primes, window: int = 64, margin=0) -> TowerCertificate
         if not isinstance(p, int) or isinstance(p, bool) or p < 2:
             raise InputError(f"level factor must be an integer >= 2, got {p!r}")
     sizes = tuple(accumulate(primes, mul))
-    levels = tuple(detect_interval_cycle(a, size, window, margin) for size in sizes)
+    # the levels share one walk, and each is still one detect_interval_cycle call
+    orbit = _CriticalWalk(a)
+    levels = tuple(detect_interval_cycle(orbit, size, window, margin) for size in sizes)
     deepest = 0
     for det in levels:
         if det.status != "certified":

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 from itertools import islice, pairwise
 from math import isqrt
@@ -160,6 +161,22 @@ def test_kneading_frozen():
     assert kneading_sequence(PHI, 5) == "RLCRL"
     with pytest.raises(InputError):
         kneading_sequence(Fraction(2), -1)
+
+
+@pytest.mark.parametrize("a, length", [
+    (Fraction(707, 500), 6000),  # points of up to 54,000 bits, never reduced
+    (parse_exact("(12-2*sqrt(5))/7"), 2000),
+])
+def test_kneading_holds_one_point_at_a_time(a, length):
+    # the symbols of a long orbit cost memory for one point, not for all:
+    # holding every point read would take about 21 MiB and 3.3 MiB here
+    tracemalloc.start()
+    try:
+        kneading_sequence(a, length)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # -- omega limit estimates ----------------------------------------------------------
@@ -402,13 +419,16 @@ def plain_orbit(a, length):
 
 
 def count_walk_steps(call):
-    """Run call() and return how many steps the integer orbit walk took."""
+    """Run call() and return how many steps the integer orbit walks took,
+    over all walks: every point a walk yielded after its first, c_0."""
     steps = 0
     original = interval_dynamics._walk
 
-    def counting(*args):
+    def counting(param):
         nonlocal steps
-        for point in original(*args):
+        walk = original(param)
+        yield next(walk)
+        for point in walk:
             steps += 1
             yield point
 
@@ -416,11 +436,6 @@ def count_walk_steps(call):
         mp.setattr(interval_dynamics, "_walk", counting)
         call()
     return steps
-
-
-def memo_points(param):
-    """How many critical-orbit points param's memo holds."""
-    return len(param._critical) // (3 if isinstance(param.a, Surd) else 1)
 
 
 tower_args = dict(
@@ -453,20 +468,19 @@ def test_tower_certificate_walks_the_orbit_once(a, window, primes, margin):
         assert count_walk_steps(
             lambda: tower_certificate(a, primes[:depth], window, margin)
         ) == steps
-    # the memo lives with its TentParam: an equal slope value walks again,
-    # the same TentParam does not
+    # a TentParam keeps no orbit: each call walks again, a reused one too
     param = TentParam(a)
-    for slope, walked in ((a, steps), (param, steps), (param, 0), (TentParam(a), steps)):
+    for slope in (a, param, param, TentParam(a)):
         assert count_walk_steps(
             lambda: tower_certificate(slope, primes, window, margin)
-        ) == walked
-    assert memo_points(param) <= window
+        ) == steps
+    assert steps <= max(window - 1, 0)
 
 
 def test_threads_sharing_one_param_read_one_orbit():
-    # the memo is filled without a lock; readers racing on one fresh
+    # a TentParam carries no orbit state; readers racing on one fresh
     # TentParam, each with its own window, must each get what a TentParam
-    # of their own gives
+    # of their own gives, so any cache added to it must be race-free
     a = parse_exact("(12-2*sqrt(5))/7")
     windows = [64, 6, 12, 70, 24, 3]
     expected = {window: tower_certificate(a, (2, 2, 2), window) for window in windows}
@@ -576,18 +590,16 @@ def test_degenerate_exactly_when_one_distinct_sample(a, window, n, margin):
     m=st.integers(min_value=1, max_value=48),
 )
 def test_detector_comparison_orders_the_samples_exactly(a, m):
-    # the detector compares orbit points as integer triples, a rational
-    # point k as (P_k, 0, 2*s^k); the comparison must order the exact points
+    # the detector compares orbit points as the integer triples the walk
+    # yields; the comparison must order the exact points
     samples = plain_orbit(a, m - 1)
     param = TentParam(a)
-    _, q, s, r = param._kernel
-    critical = interval_dynamics._critical(param, 0, m)
-    triples = critical if q else [(P, 0, 2 * s ** k) for k, P in enumerate(critical)]
+    r = param._kernel[3]
+    triples = list(islice(interval_dynamics._walk(param), m))
     assert [interval_dynamics._reduced(*t, r) for t in triples] == samples
     for t, x in zip(triples, samples):
         signs = [interval_dynamics._compare(t, u, r) for u in triples]
         assert signs == [(x > y) - (x < y) for y in samples]
-    assert memo_points(param) == m
 
 
 @settings(max_examples=60, deadline=None)
@@ -760,11 +772,12 @@ def test_certified_exactly_below_the_threshold(a):
 
 
 def test_tower_memo_holds_at_most_the_window():
-    # levels read the prefixes they need and share the orbit memo only
-    param = TentParam(Fraction(13, 10))
-    cert = tower_certificate(param, (2, 2, 2), window=64)
-    assert [level.status for level in cert.levels] == ["certified", "absent", "absent"]
-    assert memo_points(param) <= 64
-    param = TentParam(Fraction(1101, 1000))
-    assert tower_certificate(param, (2, 2, 2), window=4096).deepest_certified == 2
-    assert memo_points(param) <= 2 * 8 + 1
+    # levels read the prefixes they need and share one walk, which never
+    # steps past the window's last point, c_(window-1)
+    for a, window, statuses, bound in (
+        (Fraction(13, 10), 64, ["certified", "absent", "absent"], 64 - 1),
+        (Fraction(1101, 1000), 4096, ["certified", "certified", "absent"], 2 * 8),
+    ):
+        cert = tower_certificate(a, (2, 2, 2), window=window)
+        assert [level.status for level in cert.levels] == statuses
+        assert count_walk_steps(lambda: tower_certificate(a, (2, 2, 2), window=window)) <= bound
