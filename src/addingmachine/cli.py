@@ -4,6 +4,14 @@ Three command families: `odometer` for exact mixed-radix arithmetic,
 `ifs` for analyzing finite systems from description files, and `tent`
 for exact tent-map orbits and renormalization certificates.
 
+`main` parses only the leaf parser that argv names: when argv[:2] is a
+(command, op) pair such as ("tent", "cycle"), that op's parser reads
+argv[2:] and main sets command and op itself, which gives the namespace
+the full tree would. The full tree parses only argv that names no leaf
+(--help, `tent --help`, an unknown or missing command) or holds an
+option the leaf does not know, so its messages and exit codes stay
+those of the tree. Each argument is defined once, on its leaf.
+
 Exit codes: 0 for a completed computation or verified certificate, 1
 for rejected input, 2 when a verification finds a counterexample.
 Reports contain no timestamps or environment data, so a repeated
@@ -291,48 +299,59 @@ def _parse_primes(text: str) -> tuple[int, ...]:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # built once per process: parse_args never mutates the parser
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The full parser tree, and its leaf parsers by (command, op).
+
+    Built once per process: parse_args never mutates a parser.
+    """
     parser = argparse.ArgumentParser(
         prog="addingmachine",
         description="exact adding machines, finite systems, tent maps",
     )
     top = parser.add_subparsers(dest="command", required=True)
+    leaves = {}
 
-    odo = top.add_parser("odometer", help="mixed-radix arithmetic")
-    odo_ops = odo.add_subparsers(dest="op", required=True)
-    p_add = odo_ops.add_parser("add", help="add two points digit-wise with carry")
+    def command(name: str, summary: str):
+        """Add a command, and return a function that adds its op parsers
+        and records each in leaves."""
+        ops = top.add_parser(name, help=summary).add_subparsers(dest="op", required=True)
+
+        def leaf(op: str, **kwargs) -> argparse.ArgumentParser:
+            leaves[name, op] = ops.add_parser(op, **kwargs)
+            return leaves[name, op]
+        return leaf
+
+    odo = command("odometer", "mixed-radix arithmetic")
+    p_add = odo("add", help="add two points digit-wise with carry")
     p_add.add_argument("--base", required=True, help="base as 'prefix;tail', e.g. '4,3;5'")
     p_add.add_argument("--p", required=True, help="point, least significant digit first")
     p_add.add_argument("--q", required=True)
-    p_succ = odo_ops.add_parser("succ", help="add one")
+    p_succ = odo("succ", help="add one")
     p_succ.add_argument("--base", required=True)
     p_succ.add_argument("--point", required=True)
-    p_dist = odo_ops.add_parser("dist", help="exact distance between points")
+    p_dist = odo("dist", help="exact distance between points")
     p_dist.add_argument("--base", required=True)
     p_dist.add_argument("--p", required=True)
     p_dist.add_argument("--q", required=True)
-    p_conj = odo_ops.add_parser("conjugate", help="compare prime profiles of two bases")
+    p_conj = odo("conjugate", help="compare prime profiles of two bases")
     p_conj.add_argument("--base1", required=True)
     p_conj.add_argument("--base2", required=True)
 
-    ifs = top.add_parser("ifs", help="finite iterated function systems")
-    ifs_ops = ifs.add_subparsers(dest="op", required=True)
-    p_an = ifs_ops.add_parser("analyze", help="minimality, spectrum, covers, tower")
+    ifs = command("ifs", "finite iterated function systems")
+    p_an = ifs("analyze", help="minimality, spectrum, covers, tower")
     p_an.add_argument("file", help="system description file")
     p_an.add_argument("--bound", type=int, default=None, help="spectrum bound (default: state count)")
     p_an.add_argument("--horizon", type=int, default=None, help="recurrence horizon (default: state count squared)")
     p_an.add_argument("--output", default=None, help="write the report here instead of stdout")
-    p_vf = ifs_ops.add_parser("verify", help="build and check the full certificate")
+    p_vf = ifs("verify", help="build and check the full certificate")
     p_vf.add_argument("file")
     p_vf.add_argument("--output", default=None)
 
-    tent = top.add_parser("tent", help="exact tent-map dynamics")
-    tent_ops = tent.add_subparsers(dest="op", required=True)
-    p_orb = tent_ops.add_parser("orbit", help="critical orbit with exact cycle detection")
+    tent = command("tent", "exact tent-map dynamics")
+    p_orb = tent("orbit", help="critical orbit with exact cycle detection")
     p_orb.add_argument("--a", required=True, help="slope: rational or (p+q*sqrt(r))/s")
     p_orb.add_argument("--budget", type=int, default=64)
-    p_kn = tent_ops.add_parser("kneading", help="symbol sequence of the critical orbit")
+    p_kn = tent("kneading", help="symbol sequence of the critical orbit")
     p_kn.add_argument("--a", required=True)
     p_kn.add_argument("--length", type=int, required=True)
     # the certificate options cycle and sweep share; --n and --primes
@@ -344,20 +363,28 @@ def _build_parser() -> argparse.ArgumentParser:
     cert.add_argument("--transient", type=int, default=0, help="accepted, no effect")
     cert.add_argument("--window", type=int, default=64, help="critical-orbit points to read at most")
     cert.add_argument("--margin", default="0")
-    p_cy = tent_ops.add_parser("cycle", parents=[cert], help="interval cycle certificate")
+    p_cy = tent("cycle", parents=[cert], help="interval cycle certificate")
     p_cy.add_argument("--a", required=True)
-    p_sw = tent_ops.add_parser("sweep", parents=[cert], help="CSV of certificates over a slope range")
+    p_sw = tent("sweep", parents=[cert], help="CSV of certificates over a slope range")
     p_sw.add_argument("--from", dest="start", required=True)
     p_sw.add_argument("--to", dest="stop", required=True)
     p_sw.add_argument("--step", required=True)
     p_sw.add_argument("--output", default=None)
-    return parser
+    return parser, leaves
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, leaves = _build_parser()
+    leaf = leaves.get(tuple(argv[:2]))
     try:
-        args = parser.parse_args(argv)
+        args, unknown = leaf.parse_known_args(argv[2:]) if leaf else (None, None)
+        if args is None or unknown:
+            # no leaf named, or an option the leaf does not know: the full
+            # tree parses, and reports the error as it always has
+            args = parser.parse_args(argv)
+        else:
+            args.command, args.op = argv[:2]
     except SystemExit as exc:
         # argparse exits with 2 on usage errors; that code is reserved
         # here for mathematical counterexamples, so remap to plain 1

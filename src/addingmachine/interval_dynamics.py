@@ -92,8 +92,28 @@ else, and never more than the window's points. Each class hull grows one
 point at a time by one exact comparison of integer triples,
 _sign(P*D' - P'*D, Q*D' - Q'*D, r) for (P + Q*sqrt(r))/D against
 (P' + Q'*sqrt(r))/D' (exactnum._compare), so a window costs O(window)
-comparisons. Only the 2n endpoints become exact numbers, and the images
-of the hulls are read off tent_eval at their ends.
+comparisons.
+
+At margin 0 the orbit is its own image, so the containment test reads
+T at one point at most. T is monotone on [0, 1/2] and on [1/2, 1], so
+T(I_j) is the hull of T at the two ends of I_j and, when I_j straddles
+1/2, of T(1/2) = c_1; it lies in I_(j+1) exactly when those points do.
+- An end c_i with i + 1 < m has T(c_i) = c_(i+1), a point read of class
+  j + 1, so it lies in I_(j+1) with no test. This holds for 1/2 as an
+  end too (c_0, or a c_k = 1/2 on a periodic orbit): T(c_k) = c_(k+1)
+  all the same.
+- c_0 = 1/2 lies in I_0, and the hulls are disjoint by now, so no hull
+  of class j != 0 reaches 1/2 (it would meet I_0: "absent"). Only I_0
+  can straddle 1/2, and T(1/2) = c_1 is a point of class 1. (c_1 is
+  read: a prefix of the one point c_0 is "degenerate".)
+So the one point left to test is T(c_(m-1)), when c_(m-1) is an end of
+its hull. tent_eval evaluates it on the exact c_(m-1), _compare places it
+against the ends of the next hull, and the walk never steps past the
+prefix. Exact numbers are built only for the detection returned: the
+certified hulls, or, for an escape, the hull, its image (tent_eval at
+its ends) and the target. The margin path is unchanged: a widened hull
+ends at no orbit point, so its images are read off tent_eval at both
+ends and at 1/2.
 """
 
 from __future__ import annotations
@@ -164,21 +184,30 @@ def tent_eval(a, x) -> ExactNumber:
     return a * (1 - x)
 
 
-def _walk(param: TentParam):
+def _walk(param: TentParam, sides: bool = False):
     """Yield the critical orbit c_0 = 1/2, c_1, ... as integer triples
     (P, Q, D) (see the module docstring): over D = 2*s^k and never
     reduced for a rational slope, reduced by gcd(P, Q, D) for a surd
-    slope."""
+    slope.
+
+    A surd walk takes the side of each point, the sign of c_k - 1/2, as
+    _sign(2P - D, 2Q, r) once, when it makes the point, to choose the
+    next step. With sides=True it yields those signs in place of the
+    points, so kneading_sequence reads each sign instead of taking it
+    again. A rational walk takes no sides (its step compares 2P < D) and
+    yields points whatever sides says."""
     p, q, s, r = param._kernel
     P, Q, D = 1, 0, 2
-    yield P, Q, D
     if not q:
+        yield P, Q, D
         while True:
             P = p * P if 2 * P < D else p * (D - P)
             D *= s
             yield P, 0, D
+    side = 0  # c_0 = 1/2
     while True:
-        if _sign(2 * P - D, 2 * Q, r) < 0:
+        yield side if sides else (P, Q, D)
+        if side < 0:
             P, Q = p * P + q * Q * r, p * Q + q * P
         else:
             E = D - P
@@ -187,7 +216,7 @@ def _walk(param: TentParam):
         g = gcd(P, Q, D)
         if g != 1:
             P, Q, D = P // g, Q // g, D // g
-        yield P, Q, D
+        side = _sign(2 * P - D, 2 * Q, r)
 
 
 class _CriticalWalk:
@@ -276,10 +305,12 @@ def kneading_sequence(a, length: int) -> str:
     a = _slope(a)
     if length < 0:
         raise InputError(f"length must be >= 0, got {length}")
-    r = a._kernel[3]
     # the sign of x - 1/2 for x = (P + Q*sqrt(r))/D; sign -1 picks "L"
-    return "".join("CRL"[_sign(2 * P - D, 2 * Q, r)]
-                   for P, Q, D in islice(_walk(a), 1, length + 1))
+    if a._kernel[3]:
+        sides = _walk(a, sides=True)
+    else:
+        sides = (_sign(2 * P - D, 0, 0) for P, _, D in _walk(a))
+    return "".join("CRL"[side] for side in islice(sides, 1, length + 1))
 
 
 @dataclass(frozen=True)
@@ -352,6 +383,19 @@ class CycleDetection:
     escape: tuple | None = None
 
 
+def _exact_hulls(points: list, lo: list, hi: list, r: int) -> tuple:
+    """The class hulls as pairs of exact numbers, from the indices of
+    their lowest and highest points."""
+    return tuple((_reduced(*points[i], r), _reduced(*points[k], r)) for i, k in zip(lo, hi))
+
+
+def _triple(x: ExactNumber) -> tuple:
+    """x as an integer triple (P, Q, D) with D > 0, for _compare."""
+    if isinstance(x, Surd):
+        return x._p, x._q, x._s
+    return x.numerator, 0, x.denominator
+
+
 def _tent_image(a: TentParam, lo, hi):
     """Exact image interval of [lo, hi] under T_a, from T at the two ends
     and, when [lo, hi] straddles 1/2, at 1/2 for the top."""
@@ -379,10 +423,12 @@ def detect_interval_cycle(a, n: int, window: int = 64, margin=0) -> CycleDetecti
     of its class by _compare on integer triples. So a window costs
     O(window) comparisons, and the walk stops at the prefix that decides.
     A prefix in which no hull moved would repeat the last verdict, which
-    did not decide, so it is skipped. Only the 2n endpoints become exact numbers, once the hulls
-    are known to be disjoint.
+    did not decide, so it is skipped. At margin 0 the containment test
+    evaluates T at one point at most, the end c_(m-1) (module docstring),
+    and exact numbers are built only for the detection returned: the
+    certified hulls, or the escape's hull, image and target.
     """
-    # tower_certificate hands its levels one shared _CriticalWalk as a
+    # tower_certificate hands its levels one shared _CriticalWalk as `a`
     orbit = a if isinstance(a, _CriticalWalk) else _CriticalWalk(_slope(a))
     a = orbit.param
     margin = _coerce(margin)
@@ -398,7 +444,7 @@ def detect_interval_cycle(a, n: int, window: int = 64, margin=0) -> CycleDetecti
     r = a._kernel[3]
     by_value = cmp_to_key(lambda x, y: _compare(x, y, r))
     lo, hi = list(range(n)), list(range(n))  # each class's lowest and highest point
-    moved, escape, read = True, None, 0
+    moved, escape, leak, read = True, None, None, 0
     for m in (*range(2 * n + 1, window, n), window):
         points = orbit.read(m)
         for k in range(max(read, n), m):
@@ -421,13 +467,22 @@ def detect_interval_cycle(a, n: int, window: int = 64, margin=0) -> CycleDetecti
                 return CycleDetection(
                     n=n, status="absent", window=window, margin=margin, overlap=(prev, nxt)
                 )
-        hulls = [(_reduced(*points[i], r), _reduced(*points[k], r)) for i, k in zip(lo, hi)]
-        escape = None
-        if margin:
-            hulls = [(max(x - margin, Fraction(0)), min(y + margin, Fraction(1)))
-                     for x, y in hulls]
-            if any(not hulls[prev][1] < hulls[nxt][0] for prev, nxt in neighbours):
-                continue  # widened hulls that meet certify nothing, and rule nothing out
+        escape = leak = None
+        if not margin:
+            # the orbit is its own image: only an end c_(m-1) has no image read
+            k = m - 1
+            j = k % n
+            if k in (lo[j], hi[j]):
+                y, t = _triple(tent_eval(a, _reduced(*points[k], r))), (j + 1) % n
+                if _compare(y, points[lo[t]], r) < 0 or _compare(y, points[hi[t]], r) > 0:
+                    leak = j
+                    continue
+            return CycleDetection(n=n, status="certified", window=window, margin=margin,
+                                  intervals=_exact_hulls(points, lo, hi, r))
+        hulls = [(max(x - margin, Fraction(0)), min(y + margin, Fraction(1)))
+                 for x, y in _exact_hulls(points, lo, hi, r)]
+        if any(not hulls[prev][1] < hulls[nxt][0] for prev, nxt in neighbours):
+            continue  # widened hulls that meet certify nothing, and rule nothing out
         for j in range(n):
             img = _tent_image(a, *hulls[j])
             target = hulls[(j + 1) % n]
@@ -438,6 +493,9 @@ def detect_interval_cycle(a, n: int, window: int = 64, margin=0) -> CycleDetecti
             return CycleDetection(
                 n=n, status="certified", window=window, margin=margin, intervals=tuple(hulls)
             )
+    if leak is not None:  # the hulls of the last prefix examined, which no later point moved
+        hulls = _exact_hulls(points, lo, hi, r)
+        escape = (leak, _tent_image(a, *hulls[leak]), hulls[(leak + 1) % n])
     return CycleDetection(n=n, status="inconclusive", window=window, margin=margin, escape=escape)
 
 

@@ -887,3 +887,81 @@ def test_usage_errors_exit_one(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+# -- leaf dispatch ------------------------------------------------------------------
+
+# one valid argv per leaf, past its (command, op); each starts with a
+# required argument: the system file for ifs, an option and its value else
+VALID_ARGVS = {
+    ("odometer", "add"): ["--base", "2;2", "--p", "1,0", "--q", "1"],
+    ("odometer", "succ"): ["--base", "2;2", "--point", "1,1"],
+    ("odometer", "dist"): ["--base", "2;2", "--p", "0,1", "--q", "1"],
+    ("odometer", "conjugate"): ["--base1", "4,3;5", "--base2", "2,2,3;5"],
+    ("ifs", "analyze"): ["system.ifs", "--bound", "3", "--horizon", "9", "--output", "o"],
+    ("ifs", "verify"): ["system.ifs", "--output", "o"],
+    ("tent", "orbit"): ["--a", "13/10", "--budget", "8"],
+    ("tent", "kneading"): ["--a", "13/10", "--length", "5"],
+    ("tent", "cycle"): ["--a", "13/10", "--n", "2", "--window", "64", "--margin", "0"],
+    ("tent", "sweep"): ["--from", "1", "--to", "3/2", "--step", "1/10", "--primes", "2,2"],
+}
+ABBREVIATIONS = [
+    ["tent", "cycle", "--a", "13/10", "--win", "64", "--pr", "2,2"],
+    ["tent", "sweep", "--fr", "1", "--to", "2", "--st", "1/2", "--n", "2", "--out", "o"],
+    ["odometer", "add", "--ba", "2;2", "--p", "1", "--q", "1"],
+    ["odometer", "conjugate", "--base", "2;2", "--base2", "2;2"],  # ambiguous
+    ["ifs", "analyze", "system.ifs", "--bo", "3", "--hor", "9"],
+]
+TOP_LEVEL_ARGVS = [[], ["tent"], ["tent", "nonsense"], ["--help"], ["tent", "--help"],
+                   ["odometer"], ["nonsense", "add"], ["-h", "tent", "cycle"]]
+
+
+def leaf_corpus(leaf, valid):
+    """Variants of one leaf's valid argv: well formed, malformed and -h."""
+    option = next(i for i, item in enumerate(valid) if item.startswith("--"))
+    name, value = valid[option:option + 2]
+    required = 2 if valid[0].startswith("--") else 1
+    for rest in (
+        valid,
+        valid[:option] + [f"{name}={value}"] + valid[option + 2:],
+        valid + [name, value],  # repeated: the last one counts
+        valid[required:],  # the first required argument is missing
+        valid + ["--n", "3"],  # with sweep's --primes: they exclude each other
+        valid + ["--primes", "2"],  # with cycle's --n
+        valid + ["--bogus"],
+        valid + ["--bogus=1", "extra"],
+        valid + ["-h"],
+        ["-h"],
+        [],
+    ):
+        yield [*leaf, *rest]
+
+
+def test_main_parses_only_the_leaf_and_matches_the_full_tree(capsys, monkeypatch):
+    parser, leaves = cli._build_parser()
+    assert set(VALID_ARGVS) == set(leaves)
+    corpus = [argv for leaf, valid in VALID_ARGVS.items() for argv in leaf_corpus(leaf, valid)]
+    corpus += ABBREVIATIONS + TOP_LEVEL_ARGVS
+    tree_parse = parser.parse_args
+    tree_calls = []
+    monkeypatch.setattr(parser, "parse_args",
+                        lambda argv: tree_calls.append(argv) or tree_parse(argv))
+    seen = []
+    for name in ("_cmd_odometer", "_cmd_ifs", "_cmd_tent"):
+        monkeypatch.setattr(cli, name, lambda args: seen.append(args) or 0)
+    for argv in corpus:
+        seen.clear()
+        tree_calls.clear()
+        code = main(list(argv))
+        got = capsys.readouterr()
+        leaf_only = not tree_calls
+        try:
+            expected, expected_code = tree_parse(list(argv)), 0
+        except SystemExit as exc:
+            expected, expected_code = None, 0 if exc.code in (0, None) else 1
+        want = capsys.readouterr()
+        assert (code, got.out, got.err) == (expected_code, want.out, want.err), argv
+        assert seen == ([expected] if expected is not None else []), argv
+        # a well-formed argv that names a leaf never runs the full tree
+        if expected is not None:
+            assert leaf_only and tuple(argv[:2]) in leaves, argv

@@ -179,6 +179,25 @@ def test_kneading_holds_one_point_at_a_time(a, length):
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("text", ["(12-2*sqrt(5))/7", "(1+sqrt(5))/2", "(7+sqrt(13))/9"])
+def test_kneading_takes_one_sign_per_point(monkeypatch, text):
+    # a surd walk takes the side of each point to choose its step, and the
+    # symbols read that side: one _sign call per point, not two
+    a, length, calls = parse_exact(text), 200, 0
+    original = interval_dynamics._sign
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(interval_dynamics, "_sign", counting)
+    symbols = kneading_sequence(a, length)
+    assert calls <= length + 1
+    assert symbols == "".join("L" if x < HALF else ("C" if x == HALF else "R")
+                              for x in plain_orbit(a, length)[1:])
+
+
 # -- omega limit estimates ----------------------------------------------------------
 
 
@@ -680,8 +699,15 @@ def reference_detection(a, n, window, margin):
     return CycleDetection(status="inconclusive", escape=escape, **same), window
 
 
+# the last four examples are the cases the orbit rule of the margin-0
+# containment test singles out (module docstring);
+# test_orbit_rule_examples_are_what_they_claim checks each comment
 @settings(max_examples=300, deadline=None)
 @example(a=PHI, n=3, window=9, margin=Fraction(0))  # 1/2 recurs in every class 0
+@example(a=PHI, n=2, window=5, margin=Fraction(0))  # c_3 = 1/2 lies in class 1
+@example(a=Fraction(3, 2), n=2, window=3, margin=Fraction(0))  # T(c_2) escapes I_1
+@example(a=parse_exact("(19-3*sqrt(2))/8"), n=4, window=9, margin=Fraction(0))  # T(c_8) escapes
+@example(a=Fraction(3, 2), n=3, window=7, margin=Fraction(0))  # I_2 straddles 1/2, c_1 not in I_0
 @example(a=SQRT2, n=1, window=1, margin=Fraction(0))  # one rational point
 @example(a=Fraction(11, 10), n=4, window=12, margin=Fraction(1, 7))
 @example(a=Fraction(13, 10), n=2, window=64, margin=Fraction(1, 1000))  # widened escapes
@@ -695,6 +721,52 @@ def test_detection_matches_the_exact_number_reference(a, n, window, margin):
     assert detect_interval_cycle(a, n, window, margin) == reference_detection(
         a, n, window, margin
     )[0]
+
+
+def test_orbit_rule_examples_are_what_they_claim():
+    def hulls(a, n, window):
+        points = plain_orbit(a, window - 1)
+        return points, [(min(points[j::n]), max(points[j::n])) for j in range(n)]
+
+    # the last point read, c_(m-1), is an end of its hull, and its image is
+    # the one that leaks out of the next hull
+    for a, n, window in ((Fraction(3, 2), 2, 3), (parse_exact("(19-3*sqrt(2))/8"), 4, 9)):
+        points, bounds = hulls(a, n, window)
+        j = (window - 1) % n
+        det = detect_interval_cycle(a, n, window)
+        assert det.status == "inconclusive" and det.escape[0] == j
+        assert points[-1] in bounds[j]
+        lo, hi = bounds[(j + 1) % n]
+        assert not lo <= tent_eval(a, points[-1]) <= hi
+    # a hull of class j != 0 straddles 1/2 while c_1 lies outside I_(j+1):
+    # it meets I_0, which holds c_0 = 1/2, so the verdict is absent
+    a, n, window = Fraction(3, 2), 3, 7
+    points, bounds = hulls(a, n, window)
+    (lo, hi), (next_lo, next_hi) = bounds[2], bounds[0]
+    assert lo < HALF < hi and not next_lo <= points[1] <= next_hi
+    assert detect_interval_cycle(a, n, window).status == "absent"
+    # a periodic critical orbit returns to 1/2 in a class other than 0
+    a, n, window = PHI, 2, 5
+    points, _ = hulls(a, n, window)
+    assert points[3] == HALF and 3 % n != 0
+    assert detect_interval_cycle(a, n, window).status == "absent"
+
+
+def test_tower_certificate_evaluates_the_map_at_most_once_per_level(monkeypatch):
+    # at margin 0 the orbit is its own image: T is evaluated only at an end
+    # c_(m-1), the one point whose image the prefix does not hold
+    calls = 0
+    original = interval_dynamics.tent_eval
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(interval_dynamics, "tent_eval", counting)
+    cert = tower_certificate(Fraction(109, 100), (2, 2, 2))
+    assert [level.status for level in cert.levels] == ["certified"] * 3
+    assert calls <= len(cert.levels)
 
 
 # -- the closed-form threshold ----------------------------------------------------------
