@@ -7,13 +7,22 @@ equality and hashing compare fields.
 
 Each operation is one integer formula over two triples (p, q, s): a
 rational operand n/d enters as (n, 0, d), so no operation has a
-separate rational case. The result is reduced with one gcd and is a
-Fraction when the irrational part cancels. Comparisons run no gcd:
-_compare puts both sides over a common positive denominator and one
-integer rule (_sign) decides, comparing P^2 with Q^2*r when P and Q have
-opposite signs. Nothing here ever rounds. Combining two surds with
-different radicands raises ExactnessError instead of silently falling
-back to floats.
+separate rational case. Nothing here ever rounds, and combining two
+surds with different radicands raises ExactnessError instead of
+silently falling back to floats. The triple form is private to this
+module. A kernel of helpers, each rule written once, serves Surd and
+the tent-map orbit walk of interval_dynamics alike:
+
+- _triple(x) reads a Surd, Fraction or int as (P, Q, D);
+- _product multiplies two triples, unreduced (Surd's * and /, and the
+  walk's step);
+- _lowest divides by gcd(P, Q, D), signed so that D > 0 (Surd(),
+  _reduced, which gives a Fraction when Q = 0, and the surd walk);
+- _radicand(*xs) is the radicand the surds among xs share, 0 for none,
+  and raises the one mixed-radicand error;
+- _compare puts two triples over a common positive denominator, with
+  no gcd, and one integer rule (_sign) decides, comparing P^2 with
+  Q^2*r when P and Q have opposite signs.
 
 The canonical text form is (p+q*sqrt(r))/s, the reduced triple itself;
 parse_exact reads it with q*sqrt(r) written as sqrt(r) too, as in
@@ -53,33 +62,61 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return k, m
 
 
-def _reduced(p: int, q: int, s: int, r: int) -> ExactNumber:
-    """(p + q*sqrt(r))/s for integers with s != 0, reduced with one gcd
-    (its sign makes s > 0); a Fraction when q = 0. Every Surd that
-    arithmetic returns is built here, bypassing __init__'s checks, which
-    the operands already passed."""
-    if not q:
-        return Fraction(p, s)
+def _triple(x) -> tuple[int, int, int]:
+    """A Surd's own triple, or (n, 0, d) for a Fraction or int n/d."""
+    if isinstance(x, Surd):
+        return x._p, x._q, x._s
+    return x.numerator, 0, x.denominator
+
+
+def _radicand(*xs) -> int:
+    """The radicand r that the Surds among xs share, 0 when none is a Surd.
+
+    The module's one radicand rule: two different radicands raise
+    ExactnessError, because no exact arithmetic combines them."""
+    r = 0
+    for x in xs:
+        if isinstance(x, Surd) and x.r != r:
+            if r:
+                raise ExactnessError(f"cannot combine sqrt({r}) with sqrt({x.r}) exactly")
+            r = x.r
+    return r
+
+
+def _product(p: int, q: int, s: int, p2: int, q2: int, s2: int, r: int) -> tuple[int, int, int]:
+    """The triple of (p + q*sqrt(r))/s times (p2 + q2*sqrt(r))/s2, not reduced."""
+    return p * p2 + q * q2 * r, p * q2 + q * p2, s * s2
+
+
+def _lowest(p: int, q: int, s: int) -> tuple[int, int, int]:
+    """The triple (p, q, s), s != 0, divided by gcd(p, q, s), whose sign
+    makes s > 0."""
     g = gcd(p, q, s)
     if s < 0:
         g = -g
-    if g != 1:
-        p, q, s = p // g, q // g, s // g
+    return (p, q, s) if g == 1 else (p // g, q // g, s // g)
+
+
+def _reduced(p: int, q: int, s: int, r: int) -> ExactNumber:
+    """(p + q*sqrt(r))/s for integers with s != 0, in lowest terms
+    (_lowest); a Fraction when q = 0. Every Surd that arithmetic returns
+    is built here, bypassing __init__'s checks, which the operands
+    already passed."""
+    if not q:
+        return Fraction(p, s)
     x = object.__new__(Surd)
-    x._p, x._q, x._s, x.r = p, q, s, r
+    x._p, x._q, x._s = _lowest(p, q, s)
+    x.r = r
     return x
 
 
 def _quotient(p: int, q: int, s: int, p2: int, q2: int, s2: int, r: int) -> ExactNumber:
-    """(p + q*sqrt(r))/s divided by (p2 + q2*sqrt(r))/s2, multiplied
-    through by the conjugate p2 - q2*sqrt(r). The norm p2^2 - q2^2*r is
-    nonzero unless p2 = q2 = 0, because sqrt(r) is irrational."""
+    """(p + q*sqrt(r))/s divided by (p2 + q2*sqrt(r))/s2: the product of
+    s2*(p + q*sqrt(r))/s and (p2 - q2*sqrt(r))/(p2^2 - q2^2*r). That norm
+    is nonzero unless p2 = q2 = 0, because sqrt(r) is irrational."""
     if not p2 and not q2:
         raise ZeroDivisionError("division by zero")
-    return _reduced(
-        s2 * (p * p2 - q * q2 * r), s2 * (q * p2 - p * q2),
-        s * (p2 * p2 - q2 * q2 * r), r,
-    )
+    return _reduced(*_product(s2 * p, s2 * q, s, p2, -q2, p2 * p2 - q2 * q2 * r, r), r)
 
 
 class Surd:
@@ -94,12 +131,10 @@ class Surd:
     rational coefficients of a + b*sqrt(r), and .a and .b give them back
     as Fractions.
 
-    Every operation reads its operand through _parts, which gives a
-    rational n/d as the triple (n, 0, d), and applies one formula to the
-    two triples. The reflected - and / apply their formula with the
-    triples swapped rather than negating or inverting the forward
-    result: that would reduce twice, and 1 - x is a step of every tent
-    orbit.
+    Every operation reads its operand as a triple through _parts and
+    applies one formula to the two triples. The reflected - and / apply
+    their formula with the triples swapped rather than negating or
+    inverting the forward result: that would reduce twice.
     """
 
     __slots__ = ("_p", "_q", "_s", "r")
@@ -111,11 +146,8 @@ class Surd:
         if m != r or r < 2:
             raise InputError(f"radicand must be squarefree and >= 2, got {r}")
         a, b = Fraction(a), Fraction(b)
-        # s = lcm of the two denominators, which leaves gcd(p, q, s) = 1
-        s = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
-        self._p = a.numerator * (s // a.denominator)
-        self._q = b.numerator * (s // b.denominator)
-        self._s = s
+        self._p, self._q, self._s = _lowest(
+            a.numerator * b.denominator, b.numerator * a.denominator, a.denominator * b.denominator)
         self.r = r
 
     @property
@@ -131,18 +163,15 @@ class Surd:
     # -- helpers -------------------------------------------------------
 
     def _parts(self, other) -> tuple[int, int, int] | None:
-        """other as a triple (p, q, s) over this radicand: (n, 0, d) for an
-        int or Fraction n/d, a Surd's own triple, None for anything else,
-        bool included. A Surd with another radicand raises ExactnessError."""
-        if isinstance(other, Fraction) or (isinstance(other, int) and not isinstance(other, bool)):
-            return other.numerator, 0, other.denominator
+        """other as a triple over this radicand (_triple): an int or
+        Fraction, or a Surd, whose other radicand raises ExactnessError
+        (_radicand); None for anything else, bool included."""
         if isinstance(other, Surd):
             if other.r != self.r:
-                raise ExactnessError(
-                    f"cannot combine sqrt({self.r}) with sqrt({other.r}) exactly"
-                )
-            return other._p, other._q, other._s
-        return None
+                _radicand(self, other)  # raises
+        elif isinstance(other, bool) or not isinstance(other, (int, Fraction)):
+            return None
+        return _triple(other)
 
     def sign(self) -> int:
         """Exact sign of (p + q*sqrt(r))/s, which is that of p + q*sqrt(r)."""
@@ -183,9 +212,8 @@ class Surd:
         t = self._parts(other)
         if t is None:
             return NotImplemented
-        p, q, s, r = self._p, self._q, self._s, self.r
-        p2, q2, s2 = t
-        return _reduced(p * p2 + q * q2 * r, p * q2 + q * p2, s * s2, r)
+        r = self.r
+        return _reduced(*_product(self._p, self._q, self._s, *t, r), r)
 
     __rmul__ = __mul__
 
@@ -253,7 +281,8 @@ def surd(a, b, r: int) -> ExactNumber:
     k, m = squarefree_decompose(r)
     if m == 1:
         return a + b * k
-    return Surd(a, b * k, m)
+    # built by the kernel: Surd(a, b*k, m) would decompose m again
+    return a + _reduced(0, b.numerator * k, b.denominator, m)
 
 
 def _sign(p: int, q: int, r: int) -> int:

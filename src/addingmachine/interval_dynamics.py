@@ -14,15 +14,17 @@ surd step reduces its triple with one gcd (exactnum._reduced).
 
 The kneading symbols and the interval-cycle detector read the critical
 orbit (the orbit of 1/2) in integers instead. With the slope written as
-the triple (p + q*sqrt(r))/s of exactnum (q = 0 for a rational p/s in
-lowest terms), a point is a triple (P + Q*sqrt(r))/D with D > 0 and one
-step is
+the triple (p + q*sqrt(r))/s of exactnum (q = r = 0 for a rational p/s
+in lowest terms), a point is a triple (P + Q*sqrt(r))/D with D > 0, and
+one step is the kernel's product (exactnum._product) of the slope with
 
-    x < 1/2:   (p*P + q*Q*r, p*Q + q*P, s*D)
-    x >= 1/2:  (p*E - q*Q*r, q*E - p*Q, s*D)   with E = D - P,
+    x = (P, Q, D)            for x < 1/2,
+    1 - x = (D - P, -Q, D)   for x >= 1/2,
 
-where x < 1/2 is _sign(2P - D, 2Q, r) < 0. _walk(param) is that loop:
-it yields c_0 = 1/2 = (1, 0, 2), c_1, c_2, ... as triples.
+where x < 1/2 is _sign(2P - D, 2Q, r) < 0. _walk(param) is that loop,
+one for both kinds of slope: it yields c_0 = 1/2 = (1, 0, 2), c_1,
+c_2, ... as triples, and reduces a step (exactnum._lowest) only when
+r != 0.
 
 For a rational slope the k-th point is the triple (P_k, 0, 2*s^k), never
 reduced, because reducing could only remove one factor 2. Proof:
@@ -118,15 +120,17 @@ ends and at 1/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import accumulate, count, islice
-from math import gcd
 from operator import mul
 
-from .errors import ExactnessError, InputError
-from .exactnum import ExactNumber, Surd, _compare, _reduced, _sign, format_exact, parse_exact
+from .errors import InputError
+from .exactnum import (
+    ExactNumber, Surd, _compare, _lowest, _product, _radicand, _reduced, _sign, _triple,
+    format_exact, parse_exact,
+)
 
 HALF = Fraction(1, 2)
 
@@ -143,26 +147,15 @@ def _coerce(value) -> ExactNumber:
 
 @dataclass(frozen=True)
 class TentParam:
-    """A validated tent-map slope in [0, 2].
-
-    _kernel is the slope as integers (p, q, s, r), with q = r = 0 for a
-    rational p/s, which _walk steps by. It takes no part in equality,
-    hashing or repr.
-    """
+    """A validated tent-map slope in [0, 2]."""
 
     a: ExactNumber
-    _kernel: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         value = _coerce(self.a)
         object.__setattr__(self, "a", value)
         if value < 0 or value > 2:
             raise InputError(f"slope must lie in [0, 2], got {format_exact(value)}")
-        if isinstance(value, Surd):
-            kernel = (value._p, value._q, value._s, value.r)
-        else:
-            kernel = (value.numerator, 0, value.denominator, 0)
-        object.__setattr__(self, "_kernel", kernel)
 
     @classmethod
     def from_text(cls, text: str) -> "TentParam":
@@ -187,35 +180,24 @@ def tent_eval(a, x) -> ExactNumber:
 def _walk(param: TentParam, sides: bool = False):
     """Yield the critical orbit c_0 = 1/2, c_1, ... as integer triples
     (P, Q, D) (see the module docstring): over D = 2*s^k and never
-    reduced for a rational slope, reduced by gcd(P, Q, D) for a surd
+    reduced for a rational slope (r = 0), in lowest terms for a surd
     slope.
 
-    A surd walk takes the side of each point, the sign of c_k - 1/2, as
+    The walk takes the side of each point, the sign of c_k - 1/2, as
     _sign(2P - D, 2Q, r) once, when it makes the point, to choose the
     next step. With sides=True it yields those signs in place of the
     points, so kneading_sequence reads each sign instead of taking it
-    again. A rational walk takes no sides (its step compares 2P < D) and
-    yields points whatever sides says."""
-    p, q, s, r = param._kernel
-    P, Q, D = 1, 0, 2
-    if not q:
-        yield P, Q, D
-        while True:
-            P = p * P if 2 * P < D else p * (D - P)
-            D *= s
-            yield P, 0, D
-    side = 0  # c_0 = 1/2
+    again."""
+    p, q, s = _triple(param.a)
+    r = _radicand(param.a)
+    P, Q, D, side = 1, 0, 2, 0  # c_0 = 1/2
     while True:
         yield side if sides else (P, Q, D)
-        if side < 0:
-            P, Q = p * P + q * Q * r, p * Q + q * P
-        else:
-            E = D - P
-            P, Q = p * E - q * Q * r, q * E - p * Q
-        D *= s
-        g = gcd(P, Q, D)
-        if g != 1:
-            P, Q, D = P // g, Q // g, D // g
+        if side >= 0:  # T(x) = a*(1 - x)
+            P, Q = D - P, -Q
+        P, Q, D = _product(p, q, s, P, Q, D, r)
+        if r:
+            P, Q, D = _lowest(P, Q, D)
         side = _sign(2 * P - D, 2 * Q, r)
 
 
@@ -232,15 +214,6 @@ class _CriticalWalk:
         """The points read so far, walked on to at least c_0, ..., c_(m-1)."""
         self.points += islice(self.rest, max(m - len(self.points), 0))
         return self.points
-
-
-def _check_field(param: TentParam, *xs) -> None:
-    """Raise ExactnessError unless the slope and the surds among xs share
-    one radicand. Callers check up front: a margin meets only disjoint
-    hulls, and a window of one point runs no step."""
-    rs = list(dict.fromkeys(x.r for x in (param.a, *xs) if isinstance(x, Surd)))
-    if len(rs) > 1:
-        raise ExactnessError(f"cannot combine sqrt({rs[0]}) with sqrt({rs[1]}) exactly")
 
 
 def _orbit(param: TentParam, x, start: int = 0):
@@ -305,12 +278,8 @@ def kneading_sequence(a, length: int) -> str:
     a = _slope(a)
     if length < 0:
         raise InputError(f"length must be >= 0, got {length}")
-    # the sign of x - 1/2 for x = (P + Q*sqrt(r))/D; sign -1 picks "L"
-    if a._kernel[3]:
-        sides = _walk(a, sides=True)
-    else:
-        sides = (_sign(2 * P - D, 0, 0) for P, _, D in _walk(a))
-    return "".join("CRL"[side] for side in islice(sides, 1, length + 1))
+    # the walk's sides, the signs of c_k - 1/2; sign -1 picks "L"
+    return "".join("CRL"[side] for side in islice(_walk(a, sides=True), 1, length + 1))
 
 
 @dataclass(frozen=True)
@@ -338,7 +307,7 @@ def omega_limit_estimate(a, y, transient: int, window: int, resolution=0) -> Ome
         raise InputError("need transient >= 0 and window >= 1")
     if resolution < 0:
         raise InputError("resolution must be >= 0")
-    _check_field(a, y, resolution)
+    _radicand(a.a, y, resolution)  # checked up front: a window of one point runs no step
     samples = tuple(islice(_orbit(a, y, transient), window))
     ordered = sorted(set(samples))
     intervals = []
@@ -389,13 +358,6 @@ def _exact_hulls(points: list, lo: list, hi: list, r: int) -> tuple:
     return tuple((_reduced(*points[i], r), _reduced(*points[k], r)) for i, k in zip(lo, hi))
 
 
-def _triple(x: ExactNumber) -> tuple:
-    """x as an integer triple (P, Q, D) with D > 0, for _compare."""
-    if isinstance(x, Surd):
-        return x._p, x._q, x._s
-    return x.numerator, 0, x.denominator
-
-
 def _tent_image(a: TentParam, lo, hi):
     """Exact image interval of [lo, hi] under T_a, from T at the two ends
     and, when [lo, hi] straddles 1/2, at 1/2 for the top."""
@@ -438,10 +400,10 @@ def detect_interval_cycle(a, n: int, window: int = 64, margin=0) -> CycleDetecti
         raise InputError(f"window must be >= 1, got {window}")
     if margin < 0:
         raise InputError("margin must be >= 0")
-    _check_field(a, margin)
+    # checked up front: the margin meets the hulls only once they are disjoint
+    r = _radicand(a.a, margin)
     if window < n:  # some residue class gets no point
         return CycleDetection(n=n, status="inconclusive", window=window, margin=margin)
-    r = a._kernel[3]
     by_value = cmp_to_key(lambda x, y: _compare(x, y, r))
     lo, hi = list(range(n)), list(range(n))  # each class's lowest and highest point
     moved, escape, leak, read = True, None, None, 0

@@ -506,6 +506,26 @@ def test_tent_kneading(capsys):
     assert out.endswith("RLRRR\n")
 
 
+# sha256 of the stdout of long kneading and orbit runs on rational and surd
+# slopes; kneading reads the integer walk, orbit steps exact numbers
+@pytest.mark.parametrize("slope, kneading, orbit", [
+    ("13/10", "5dadcf022bf0eb483d61463486c14e74fa71368d342aab026758fd39c0a5c2f8",
+     "7b2ba855cee6bdb7974f728a160d923576641267613a1b177f9ff794d8e26a6a"),
+    ("1414/1000", "1d76379d499ed19c0dfa903713151d82c18aecc61558678a6f87aef6cc142c80",
+     "169ef418dc9cc2e9aec56b1b7c15aa8d28d776836b79e9a125d453c447e6fc36"),
+    ("(12-2*sqrt(5))/7", "dbcdea845f25622484f4db58c16becfadbcfcd667d24a1b022e6b2429f59bbe8",
+     "eb0480f183e5b97e424f1d0f39b38db02586bf5554649278f32c43390288e449"),
+    ("(1+sqrt(5))/2", "f0d8cce3415eb687c5efb5ef8132d1cf049e37633f55212292fbd51f4ac456e7",
+     "0dd9db83b2580a4f9898ba9db1e8d37b7f74ef33aff80cc5d58cbd8b48cb8322"),
+])
+def test_tent_kneading_and_orbit_keep_their_bytes(capsys, slope, kneading, orbit):
+    for argv, digest in ((("kneading", "--length", "2000"), kneading),
+                         (("orbit", "--budget", "200"), orbit)):
+        code, out, _ = run(capsys, "tent", *argv, "--a", slope)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_tent_cycle_certified(capsys):
     code, out, _ = run(capsys, "tent", "cycle", "--a", "13/10", "--n", "2")
     assert code == 0

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from addingmachine import exactnum
 from addingmachine._intmath import FACTOR_LIMIT, decimal_str, factorize
 from addingmachine.errors import ExactnessError, InputError
 from addingmachine.exactnum import (
@@ -461,3 +462,49 @@ def test_bool_operands_raise_type_error(flag):
             with pytest.raises(TypeError):
                 op(u, v)
     assert (R2 == flag) is False and (flag == R2) is False
+
+
+def test_surd_factorizes_the_radicand_once(monkeypatch):
+    # surd decomposes r once and builds the result through the kernel;
+    # Surd(a, b, m) would factorize m a second time
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(exactnum, "factorize", counting)
+    x = parse_exact("(1+sqrt(100160063))/2")  # 10007 * 10009
+    assert calls == [100160063]
+    assert (x.a, x.b, x.r) == (Fraction(1, 2), Fraction(1, 2), 100160063)
+
+
+# -- the triple kernel ---------------------------------------------------------
+
+
+@given(data=st.data(), r=radicands)
+def test_kernel_product_and_reducer_match_arithmetic(data, r):
+    (x, _), (y, _) = data.draw(operands(r)), data.draw(operands(r))
+    t, u = exactnum._triple(x), exactnum._triple(y)
+    z = exactnum._reduced(*exactnum._product(*t, *u, r), r)
+    assert z == x * y
+    assert isinstance(z, Surd) == isinstance(x * y, Surd)
+
+
+@given(P=st.integers(-10**6, 10**6), Q=st.integers(-10**6, 10**6),
+       D=st.integers(-10**6, 10**6).filter(bool), k=st.integers(-50, 50).filter(bool),
+       r=radicands)
+def test_kernel_reducer_gives_lowest_terms(P, Q, D, k, r):
+    g = math.gcd(P, Q, D) * (1 if D > 0 else -1)
+    t = (P // g, Q // g, D // g)  # lowest terms, with a positive denominator
+    x = exactnum._reduced(k * P, k * Q, k * D, r)
+    assert exactnum._triple(x) == t
+    assert exactnum._triple(exactnum._reduced(*t, r)) == t
+    assert x == surd(Fraction(P, D), Fraction(Q, D), r)
+
+
+def test_kernel_radicand_rule():
+    assert exactnum._radicand() == exactnum._radicand(Fraction(1, 2), 3) == 0
+    assert exactnum._radicand(Fraction(1, 2), R3, R3 + 1) == 3
+    with pytest.raises(ExactnessError, match=r"^cannot combine sqrt\(3\) with sqrt\(2\) exactly$"):
+        exactnum._radicand(1, R3, R2)

@@ -8,7 +8,7 @@ from math import isqrt
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from addingmachine import interval_dynamics
+from addingmachine import exactnum, interval_dynamics
 from addingmachine.errors import ExactnessError, InputError
 from addingmachine.exactnum import Surd, format_exact, parse_exact, surd
 from addingmachine.interval_dynamics import (
@@ -179,10 +179,11 @@ def test_kneading_holds_one_point_at_a_time(a, length):
     assert peak < 2**20
 
 
-@pytest.mark.parametrize("text", ["(12-2*sqrt(5))/7", "(1+sqrt(5))/2", "(7+sqrt(13))/9"])
+@pytest.mark.parametrize("text", ["(12-2*sqrt(5))/7", "(1+sqrt(5))/2", "(7+sqrt(13))/9", "13/10"])
 def test_kneading_takes_one_sign_per_point(monkeypatch, text):
-    # a surd walk takes the side of each point to choose its step, and the
-    # symbols read that side: one _sign call per point, not two
+    # the walk takes the side of each point to choose its step, and the
+    # symbols read that side: one _sign call per point, not two. The walk
+    # calls interval_dynamics._sign, so the counter sees every sign taken
     a, length, calls = parse_exact(text), 200, 0
     original = interval_dynamics._sign
 
@@ -193,7 +194,7 @@ def test_kneading_takes_one_sign_per_point(monkeypatch, text):
 
     monkeypatch.setattr(interval_dynamics, "_sign", counting)
     symbols = kneading_sequence(a, length)
-    assert calls <= length + 1
+    assert length <= calls <= length + 1
     assert symbols == "".join("L" if x < HALF else ("C" if x == HALF else "R")
                               for x in plain_orbit(a, length)[1:])
 
@@ -613,12 +614,36 @@ def test_detector_comparison_orders_the_samples_exactly(a, m):
     # yields; the comparison must order the exact points
     samples = plain_orbit(a, m - 1)
     param = TentParam(a)
-    r = param._kernel[3]
+    r = exactnum._radicand(param.a)
     triples = list(islice(interval_dynamics._walk(param), m))
     assert [interval_dynamics._reduced(*t, r) for t in triples] == samples
     for t, x in zip(triples, samples):
         signs = [interval_dynamics._compare(t, u, r) for u in triples]
         assert signs == [(x > y) - (x < y) for y in samples]
+
+
+@settings(max_examples=60, deadline=None)
+@example(a=PHI, m=12)
+@given(
+    a=st.one_of(slopes(), st.sampled_from([Fraction(0), Fraction(2), SQRT2, PHI])),
+    m=st.integers(min_value=1, max_value=48),
+)
+def test_one_loop_walk_matches_the_plain_orbit(a, m):
+    # rational and surd slopes step through one loop: its points are the
+    # plain orbit's and its sides their signs against 1/2; a surd walk's
+    # triples are in lowest terms, a rational walk's are (P, 0, 2*s^k)
+    samples = plain_orbit(a, m - 1)
+    param = TentParam(a)
+    r = exactnum._radicand(a)
+    triples = list(islice(interval_dynamics._walk(param), m))
+    assert [exactnum._reduced(*t, r) for t in triples] == samples
+    assert list(islice(interval_dynamics._walk(param, sides=True), m)) == [
+        (x > HALF) - (x < HALF) for x in samples]
+    for k, (P, Q, D) in enumerate(triples):
+        if r:
+            assert exactnum._lowest(P, Q, D) == (P, Q, D)
+        else:
+            assert (Q, D) == (0, 2 * a.denominator ** k)
 
 
 @settings(max_examples=60, deadline=None)
