@@ -4,13 +4,15 @@ Three command families: `odometer` for exact mixed-radix arithmetic,
 `ifs` for analyzing finite systems from description files, and `tent`
 for exact tent-map orbits and renormalization certificates.
 
-`main` parses only the leaf parser that argv names: when argv[:2] is a
-(command, op) pair such as ("tent", "cycle"), that op's parser reads
-argv[2:] and main sets command and op itself, which gives the namespace
-the full tree would. The full tree parses only argv that names no leaf
-(--help, `tent --help`, an unknown or missing command) or holds an
-option the leaf does not know, so its messages and exit codes stay
-those of the tree. Each argument is defined once, on its leaf.
+`main` reads plain argv without argparse. When argv[:2] names a leaf,
+a (command, op) pair such as ("tent", "cycle"), and every later token
+is a positional or one of that leaf's option strings, as spelled,
+followed by a value that does not start with '-', the leaf builds the
+namespace the full tree would from the Actions that add_argument
+returned. Everything else goes to the full parser tree: argv that names
+no leaf, -h, --opt=value, abbreviations, repeated options, values that
+start with '-', and every error. So messages and exit codes stay those
+of the tree. Each argument is defined once, on its leaf.
 
 Exit codes: 0 for a completed computation or verified certificate, 1
 for rejected input, 2 when a verification finds a counterexample.
@@ -215,7 +217,7 @@ def _cmd_tent(args) -> int:
             f"# a = {format_exact(interval_dynamics.TentParam(a).a)}",
             f"# transient = {args.transient}, window = {args.window}, margin = {args.margin}",
         ]
-        primes = _parse_primes(args.primes) if args.primes else None
+        primes = _parse_primes(args.primes) if args.primes is not None else None
         if primes is None and args.n is None:
             raise InputError("tent cycle needs --n or --primes")
         sizes, levels, deepest = _certify(a, primes, args.n, args.window, parse_exact(args.margin))
@@ -253,12 +255,12 @@ def _cmd_tent(args) -> int:
     if start + SWEEP_MAX_STEPS * step < stop:
         raise InputError(f"tent sweep spans more than {SWEEP_MAX_STEPS} steps; "
                          "use a larger --step or a shorter range")
-    if not args.primes and args.n is None:
+    if args.primes is None and args.n is None:
         raise InputError("tent sweep needs --n or --primes")
     _check_transient(args.transient)
     rows = ["a,level_certified,cycle_lengths,status"]
     margin = parse_exact(args.margin)
-    primes = _parse_primes(args.primes) if args.primes else None
+    primes = _parse_primes(args.primes) if args.primes is not None else None
     a = start
     while a <= stop:
         sizes, levels, deepest = _certify(a, primes, args.n, args.window, margin)
@@ -298,9 +300,85 @@ def _parse_primes(text: str) -> tuple[int, ...]:
 # -- wiring -------------------------------------------------------------------
 
 
+class _Leaf:
+    """One (command, op) parser, with the Actions its add_argument calls
+    returned. `read` takes plain argv off these Actions alone; every
+    argument here stores exactly one value, the only kind it knows."""
+
+    def __init__(self, parser: argparse.ArgumentParser, *parents: _Leaf):
+        self.parser = parser
+        self.actions = []
+        self.options = {}  # option string -> Action
+        self.groups = []  # lists of Actions that exclude each other
+        for parent in parents:
+            for action in parent.actions:
+                self._record(action)
+            self.groups += parent.groups
+
+    def _record(self, action: argparse.Action) -> argparse.Action:
+        self.actions.append(action)
+        self.options.update(dict.fromkeys(action.option_strings, action))
+        return action
+
+    def add_argument(self, *args, **kwargs) -> argparse.Action:
+        return self._record(self.parser.add_argument(*args, **kwargs))
+
+    def exclusive_group(self):
+        """An add_argument for a new mutually exclusive group."""
+        group, members = self.parser.add_mutually_exclusive_group(), []
+        self.groups.append(members)
+
+        def add_argument(*args, **kwargs) -> argparse.Action:
+            members.append(self._record(group.add_argument(*args, **kwargs)))
+            return members[-1]
+        return add_argument
+
+    def read(self, argv: list[str]) -> argparse.Namespace | None:
+        """The namespace of argv, whose argv[:2] names this leaf, or None
+        when argv is not plain.
+
+        Plain means: every later token is a positional, or one of this
+        leaf's option strings as spelled followed by its value; no
+        positional or value starts with '-'; no option is given twice,
+        nor two of one exclusive group; every required argument is
+        given; and every type conversion succeeds. The namespace is then
+        the one the full tree's parse_args returns: dest, default and
+        type come from the Actions, and a string value, a default
+        included, goes through type, as argparse does.
+        """
+        given = {}
+        positionals = (action for action in self.actions if not action.option_strings)
+        tokens = iter(argv[2:])
+        for token in tokens:
+            if token[:1] == "-":
+                action, token = self.options.get(token), next(tokens, "-")
+            else:
+                action = next(positionals, None)
+            if action is None or action in given or token[:1] == "-":
+                return None
+            given[action] = token
+        if any(sum(action in given for action in group) > 1 for group in self.groups):
+            return None
+        args = argparse.Namespace(command=argv[0], op=argv[1])
+        for action in self.actions:
+            if action in given:
+                value = given[action]
+            elif action.required:
+                return None
+            else:
+                value = action.default
+            if isinstance(value, str) and action.type is not None:
+                try:
+                    value = action.type(value)
+                except (TypeError, ValueError, argparse.ArgumentTypeError):
+                    return None
+            setattr(args, action.dest, value)
+        return args
+
+
 @functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The full parser tree, and its leaf parsers by (command, op).
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[tuple[str, str], _Leaf]]:
+    """The full parser tree, and its leaves by (command, op).
 
     Built once per process: parse_args never mutates a parser.
     """
@@ -316,8 +394,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         and records each in leaves."""
         ops = top.add_parser(name, help=summary).add_subparsers(dest="op", required=True)
 
-        def leaf(op: str, **kwargs) -> argparse.ArgumentParser:
-            leaves[name, op] = ops.add_parser(op, **kwargs)
+        def leaf(op: str, *parents: _Leaf, **kwargs) -> _Leaf:
+            parser = ops.add_parser(op, parents=[p.parser for p in parents], **kwargs)
+            leaves[name, op] = _Leaf(parser, *parents)
             return leaves[name, op]
         return leaf
 
@@ -356,16 +435,16 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_kn.add_argument("--length", type=int, required=True)
     # the certificate options cycle and sweep share; --n and --primes
     # each pick the levels, so they exclude each other
-    cert = argparse.ArgumentParser(add_help=False)
-    levels = cert.add_mutually_exclusive_group()
-    levels.add_argument("--n", type=int, default=None, help="cycle length to certify")
-    levels.add_argument("--primes", default=None, help="comma-separated level factors, e.g. 2,2")
+    cert = _Leaf(argparse.ArgumentParser(add_help=False))
+    levels = cert.exclusive_group()
+    levels("--n", type=int, default=None, help="cycle length to certify")
+    levels("--primes", default=None, help="comma-separated level factors, e.g. 2,2")
     cert.add_argument("--transient", type=int, default=0, help="accepted, no effect")
     cert.add_argument("--window", type=int, default=64, help="critical-orbit points to read at most")
     cert.add_argument("--margin", default="0")
-    p_cy = tent("cycle", parents=[cert], help="interval cycle certificate")
+    p_cy = tent("cycle", cert, help="interval cycle certificate")
     p_cy.add_argument("--a", required=True)
-    p_sw = tent("sweep", parents=[cert], help="CSV of certificates over a slope range")
+    p_sw = tent("sweep", cert, help="CSV of certificates over a slope range")
     p_sw.add_argument("--from", dest="start", required=True)
     p_sw.add_argument("--to", dest="stop", required=True)
     p_sw.add_argument("--step", required=True)
@@ -374,21 +453,24 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 
 def main(argv=None) -> int:
+    """Run the command argv names and return its exit code.
+
+    Plain argv (see _Leaf.read) never reaches argparse; the full parser
+    tree parses the rest, with its usual messages and exit codes.
+    """
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, leaves = _build_parser()
     leaf = leaves.get(tuple(argv[:2]))
-    try:
-        args, unknown = leaf.parse_known_args(argv[2:]) if leaf else (None, None)
-        if args is None or unknown:
-            # no leaf named, or an option the leaf does not know: the full
-            # tree parses, and reports the error as it always has
+    args = leaf.read(argv) if leaf else None
+    if args is None:
+        # not plain argv, or no leaf named: the full tree parses, and
+        # reports any error as it always has
+        try:
             args = parser.parse_args(argv)
-        else:
-            args.command, args.op = argv[:2]
-    except SystemExit as exc:
-        # argparse exits with 2 on usage errors; that code is reserved
-        # here for mathematical counterexamples, so remap to plain 1
-        return 0 if exc.code in (0, None) else 1
+        except SystemExit as exc:
+            # argparse exits with 2 on usage errors; that code is reserved
+            # here for mathematical counterexamples, so remap to plain 1
+            return 0 if exc.code in (0, None) else 1
     command = {"odometer": _cmd_odometer, "ifs": _cmd_ifs, "tent": _cmd_tent}[args.command]
     try:
         return command(args)

@@ -1,11 +1,16 @@
+import argparse
 import hashlib
+import io
 import random
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from fractions import Fraction
 from textwrap import dedent
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from addingmachine import cli, finite_ifs, interval_dynamics
 from addingmachine.cli import SWEEP_MAX_STEPS, main
@@ -890,6 +895,10 @@ def test_argument_errors_are_named(capsys, z6two):
         (["tent", "sweep", "--from", "1", "--to", "2", "--step", "0", "--n", "2"],
          "step must be positive"),
         (["tent", "cycle", "--a", "13/10", "--primes", "2,x"], "malformed prime list '2,x'"),
+        # an empty list is given, so it is malformed, not missing
+        (["tent", "cycle", "--a", "13/10", "--primes", ""], "malformed prime list ''"),
+        (["tent", "sweep", "--from", "1", "--to", "2", "--step", "1/2", "--primes", ""],
+         "malformed prime list ''"),
     ):
         assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
@@ -957,31 +966,113 @@ def leaf_corpus(leaf, valid):
         yield [*leaf, *rest]
 
 
+# the argv shapes of the benchmark decks' ops
+DECK_ARGVS = [
+    ["tent", "cycle", "--a", "(12-2*sqrt(5))/7", "--primes", "2,2,2", "--window", "256",
+     "--transient", "8"],
+    ["ifs", "analyze", "F"],
+    ["ifs", "verify", "F"],
+]
+
+
+def count_parses(monkeypatch):
+    """A list that gets one entry per argparse parse call, on any parser."""
+    calls = []
+
+    def counting(parse):
+        def counted(self, *args, **kwargs):
+            calls.append(parse.__name__)
+            return parse(self, *args, **kwargs)
+        return counted
+    for name in ("parse_args", "parse_known_args"):
+        monkeypatch.setattr(argparse.ArgumentParser, name,
+                            counting(getattr(argparse.ArgumentParser, name)))
+    return calls
+
+
 def test_main_parses_only_the_leaf_and_matches_the_full_tree(capsys, monkeypatch):
     parser, leaves = cli._build_parser()
     assert set(VALID_ARGVS) == set(leaves)
+    plain = [[*leaf, *valid] for leaf, valid in VALID_ARGVS.items()] + DECK_ARGVS
     corpus = [argv for leaf, valid in VALID_ARGVS.items() for argv in leaf_corpus(leaf, valid)]
-    corpus += ABBREVIATIONS + TOP_LEVEL_ARGVS
-    tree_parse = parser.parse_args
-    tree_calls = []
-    monkeypatch.setattr(parser, "parse_args",
-                        lambda argv: tree_calls.append(argv) or tree_parse(argv))
+    corpus += ABBREVIATIONS + TOP_LEVEL_ARGVS + DECK_ARGVS
+    parses = count_parses(monkeypatch)
     seen = []
     for name in ("_cmd_odometer", "_cmd_ifs", "_cmd_tent"):
         monkeypatch.setattr(cli, name, lambda args: seen.append(args) or 0)
     for argv in corpus:
         seen.clear()
-        tree_calls.clear()
+        parses.clear()
         code = main(list(argv))
         got = capsys.readouterr()
-        leaf_only = not tree_calls
+        parsed = bool(parses)
         try:
-            expected, expected_code = tree_parse(list(argv)), 0
+            expected, expected_code = parser.parse_args(list(argv)), 0
         except SystemExit as exc:
             expected, expected_code = None, 0 if exc.code in (0, None) else 1
         want = capsys.readouterr()
         assert (code, got.out, got.err) == (expected_code, want.out, want.err), argv
         assert seen == ([expected] if expected is not None else []), argv
-        # a well-formed argv that names a leaf never runs the full tree
-        if expected is not None:
-            assert leaf_only and tuple(argv[:2]) in leaves, argv
+        # plain argv never reaches argparse; an "=" or abbreviated option
+        # is valid too, but only the full tree reads it
+        if argv in plain:
+            assert not parsed, argv
+
+
+VALUES = ["", "-1", "-sqrt(2)", "x", "64"]
+
+
+@st.composite
+def leaf_argvs(draw):
+    """A leaf's (command, op) and tokens, most of the time with its
+    required arguments. Half the draws use only its option strings as
+    spelled, its repeated and exclusive options among them, and values
+    that do not start with '-'; the rest add -h, --opt=value forms,
+    abbreviations, options without a value and every value."""
+    leaves = cli._build_parser()[1]
+    name = draw(st.sampled_from(sorted(leaves)))
+    leaf = leaves[name]
+    plain = draw(st.booleans())
+    option = st.sampled_from(sorted(leaf.options))
+    value = st.sampled_from([v for v in VALUES if not (plain and v.startswith("-"))])
+    pieces = [st.tuples(option, value), st.tuples(value)]
+    if not plain:
+        pieces += [st.tuples(option), st.just(("-h",)),
+                   st.tuples(st.builds("{}={}".format, option, value)),
+                   st.tuples(st.builds(lambda o, k: o[:k], option, st.integers(2, 6)), value)]
+    required = [(*action.option_strings[:1], draw(value)) for action in leaf.actions
+                if action.required and draw(st.integers(0, 4))]
+    pieces = draw(st.permutations(required + draw(st.lists(st.one_of(pieces), max_size=3))))
+    return [*name, *(token for piece in pieces for token in piece)]
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=leaf_argvs())
+# argparse converts every occurrence of a repeated option, and reads
+# nothing as the value of a last option
+@example(argv=["tent", "cycle", "--a", "x", "--n", "x", "--n", "64"])
+@example(argv=["tent", "cycle", "--n", "64", "--a"])
+def test_plain_reader_agrees_with_the_full_tree(argv):
+    parser, leaves = cli._build_parser()
+    args = leaves[tuple(argv[:2])].read(argv)
+    if args is not None:
+        assert parser.parse_args(list(argv)) == args
+    got = run_main(argv)
+    with mock.patch.object(cli._Leaf, "read", lambda self, argv: None):
+        assert got == run_main(argv)
+
+
+def test_plain_reader_takes_a_string_default_through_type():
+    # no leaf has such a default; argparse converts it, so read does too
+    leaf = cli._Leaf(argparse.ArgumentParser())
+    leaf.add_argument("--k", type=int, default="7")
+    leaf.add_argument("--s", default="x")
+    assert vars(leaf.parser.parse_args([])) == {"k": 7, "s": "x"}
+    assert leaf.read(["c", "o"]) == argparse.Namespace(command="c", op="o", k=7, s="x")
