@@ -185,11 +185,11 @@ SWEEP_MAX_STEPS = 10_000
 
 def _cmd_tent(args) -> int:
     if args.op == "orbit":
-        a = parse_exact(args.a)
+        a = interval_dynamics.TentParam.from_text(args.a)
         orbit = interval_dynamics.critical_orbit(a, budget=args.budget)
         lines = [
             "# tent orbit",
-            f"# a = {format_exact(interval_dynamics.TentParam(a).a)}",
+            f"# a = {format_exact(a.a)}",
             f"# budget = {args.budget}",
         ]
         for k, point in enumerate(orbit.points):
@@ -200,11 +200,11 @@ def _cmd_tent(args) -> int:
         print("\n".join(lines))
         return 0
     if args.op == "kneading":
-        a = parse_exact(args.a)
+        a = interval_dynamics.TentParam.from_text(args.a)
         symbols = interval_dynamics.kneading_sequence(a, args.length)
         lines = [
             "# tent kneading",
-            f"# a = {format_exact(interval_dynamics.TentParam(a).a)}",
+            f"# a = {format_exact(a.a)}",
             f"# length = {args.length}",
             symbols,
         ]
@@ -213,8 +213,9 @@ def _cmd_tent(args) -> int:
     if args.op == "cycle":
         a = parse_exact(args.a)
         _check_transient(args.transient)
+        a = interval_dynamics.TentParam(a)  # validated once, after the transient
         header = [
-            f"# a = {format_exact(interval_dynamics.TentParam(a).a)}",
+            f"# a = {format_exact(a.a)}",
             f"# transient = {args.transient}, window = {args.window}, margin = {args.margin}",
         ]
         primes = _parse_primes(args.primes) if args.primes is not None else None

@@ -6,7 +6,7 @@ gcd(p, q, s) = 1, and r squarefree and >= 2. That form is canonical, so
 equality and hashing compare fields.
 
 Each operation is one integer formula over two triples (p, q, s): a
-rational operand n/d enters as (n, 0, d), so no operation has a
+rational operand n/d enters as (n, 0, d), so no Surd operation has a
 separate rational case. Nothing here ever rounds, and combining two
 surds with different radicands raises ExactnessError instead of
 silently falling back to floats. The triple form is private to this
@@ -14,15 +14,46 @@ module. A kernel of helpers, each rule written once, serves Surd and
 the tent-map orbit walk of interval_dynamics alike:
 
 - _triple(x) reads a Surd, Fraction or int as (P, Q, D);
-- _product multiplies two triples, unreduced (Surd's * and /, and the
-  walk's step);
-- _lowest divides by gcd(P, Q, D), signed so that D > 0 (Surd(),
-  _reduced, which gives a Fraction when Q = 0, and the surd walk);
+- _product multiplies two triples, unreduced (Surd's * and /, and
+  _tent_step);
+- _lowest divides by gcd(P, Q, D), signed so that D > 0 (Surd(), and
+  _reduced, which gives a Fraction when Q = 0);
 - _radicand(*xs) is the radicand the surds among xs share, 0 for none,
   and raises the one mixed-radicand error;
 - _compare puts two triples over a common positive denominator, with
   no gcd, and one integer rule (_sign) decides, comparing P^2 with
-  Q^2*r when P and Q have opposite signs.
+  Q^2*r when P and Q have opposite signs; for r = 0 one cross-multiplied
+  difference decides;
+- _tent_step is the tent map T(x) = a*x (x < 1/2), a*(1 - x) (x >= 1/2)
+  on triples, the one step rule of interval_dynamics' orbit walk and of
+  its tent_eval.
+
+_tent_step takes the slope a = (p + q*sqrt(r))/s, a point x = (P, Q, D)
+in lowest terms with D > 0, and x's side, the sign of x - 1/2; it
+returns the triple of T(x) and its side. For r = 0 (a rational slope
+and point) it is P <- p*P or p*(D - P), D <- s*D, and the side is that
+of 2P - D: no kernel call and no gcd. That triple is not reduced;
+interval_dynamics proves that on the critical orbit of a slope p/s in
+lowest terms its P and D share at most a factor 2, and tent_eval
+reduces through _reduced. For r != 0 the step is _product followed by
+one exact reduction by the step's determinant, so the result is in
+lowest terms. On integer vectors v = (P, Q, D) the step is the matrix
+
+    M = [[p, q*r, 0], [q, p, 0], [0, 0, s]]           for x < 1/2,
+    M = [[-p, -q*r, p], [-q, -p, q], [0, 0, s]]       for x >= 1/2,
+
+the second being the first times v -> (D - P, -Q, D), of determinant 1.
+Both have determinant s*(p^2 - q^2*r); let N be its absolute value. The
+adjugate of M is an integer matrix with adj(M)*M = det(M)*I. So if g
+divides every entry of M*v, it divides every entry of det(M)*v, hence
+N*gcd(P, Q, D), which is N because v is in lowest terms. The gcd of
+the new triple (P', Q', D') therefore divides N and equals
+gcd(N, P' mod N, Q' mod N, D' mod N): three remainders, linear in the
+length of the triple, and a gcd of numbers below N, where
+gcd(P', Q', D') of the full-length integers costs time quadratic in
+their length. N = 0 only for p = q = 0, since p^2 = q^2*r with q != 0
+would make sqrt(r) rational: the slope 0, with a surd point in
+tent_eval, sends every point to 0 = (0, 0, 1).
 
 The canonical text form is (p+q*sqrt(r))/s, the reduced triple itself;
 parse_exact reads it with q*sqrt(r) written as sqrt(r) too, as in
@@ -312,7 +343,34 @@ def _compare(x: tuple, y: tuple, r: int) -> int:
     x - y = ((P*D' - P'*D) + (Q*D' - Q'*D)*sqrt(r))/(D*D'), so no gcd runs."""
     P, Q, D = x
     P2, Q2, D2 = y
+    if not r:  # both rational: Q = Q' = 0
+        d = P * D2 - P2 * D
+        return (d > 0) - (d < 0)
     return _sign(P * D2 - P2 * D, Q * D2 - Q2 * D, r)
+
+
+def _tent_step(p: int, q: int, s: int, r: int, P: int, Q: int, D: int,
+               side: int) -> tuple[int, int, int, int]:
+    """T_a at x = (P + Q*sqrt(r))/D for a = (p + q*sqrt(r))/s, given side,
+    the sign of x - 1/2: the triple of T_a(x) and its side (the module
+    docstring has the rule and the proof of the reduction). x is in
+    lowest terms with D > 0, and so is the result when r != 0; r = 0
+    means q = Q = 0."""
+    if side >= 0:  # T(x) = a*(1 - x)
+        P, Q = D - P, -Q
+    if not r:
+        P *= p
+        D *= s
+        d = 2 * P - D
+        return P, 0, D, (d > 0) - (d < 0)
+    n = s * abs(p * p - q * q * r)
+    if not n:  # the slope 0
+        return 0, 0, 1, -1
+    P, Q, D = _product(p, q, s, P, Q, D, r)
+    g = gcd(n, P % n, Q % n, D % n)
+    if g > 1:
+        P, Q, D = P // g, Q // g, D // g
+    return P, Q, D, _sign(2 * P - D, 2 * Q, r)
 
 
 def exact_sign(x: ExactNumber) -> int:
@@ -359,6 +417,8 @@ def parse_exact(text: str) -> ExactNumber:
     s = text.strip()
     if not s:
         raise InputError("empty number")
+    if "sqrt" not in s and "(" not in s:  # neither surd form can match
+        return _parse_rational(s)
     m = _FULL_FORM.match(s)
     if m:
         p = int(m.group("p"))
@@ -379,9 +439,7 @@ def parse_exact(text: str) -> ExactNumber:
         if m.group("sign") == "-" or m.group("neg"):
             c = -c
         return surd(a, c, int(m.group("r")))
-    if "sqrt" in s or "(" in s:
-        raise InputError(f"malformed exact number {text!r}")
-    return _parse_rational(s)
+    raise InputError(f"malformed exact number {text!r}")
 
 
 def format_exact(x: ExactNumber) -> str:

@@ -16,15 +16,20 @@ The kneading symbols and the interval-cycle detector read the critical
 orbit (the orbit of 1/2) in integers instead. With the slope written as
 the triple (p + q*sqrt(r))/s of exactnum (q = r = 0 for a rational p/s
 in lowest terms), a point is a triple (P + Q*sqrt(r))/D with D > 0, and
-one step is the kernel's product (exactnum._product) of the slope with
+one step is the slope times
 
     x = (P, Q, D)            for x < 1/2,
-    1 - x = (D - P, -Q, D)   for x >= 1/2,
+    1 - x = (D - P, -Q, D)   for x >= 1/2.
 
-where x < 1/2 is _sign(2P - D, 2Q, r) < 0. _walk(param) is that loop,
-one for both kinds of slope: it yields c_0 = 1/2 = (1, 0, 2), c_1,
-c_2, ... as triples, and reduces a step (exactnum._lowest) only when
-r != 0.
+exactnum._tent_step is that step, written once. It takes the point's
+side (the sign of x - 1/2) and returns the next point with its side, so
+each side is taken once: by 2P against D for r = 0, with no kernel call
+and no gcd, and by _sign(2P - D, 2Q, r) for r != 0, after a reduction
+by the step's determinant (proved in exactnum). _walk(param) is one loop
+of kernel steps for both kinds of slope: it yields c_0 = 1/2 = (1, 0, 2),
+c_1, c_2, ... as triples. tent_eval is the same step on one exact point:
+its triple is checked against [0, 1] and placed against 1/2 by _sign,
+stepped, and read back through exactnum._reduced.
 
 For a rational slope the k-th point is the triple (P_k, 0, 2*s^k), never
 reduced, because reducing could only remove one factor 2. Proof:
@@ -35,11 +40,13 @@ P_k and 2*s^k can share is 2, and they share 4 only if s is even, which
 makes P_k odd. Hence gcd(P_k, 2*s^k) is 1 or 2, and a gcd per step would
 buy at most one bit.
 
-A surd walk reduces each step with one gcd(P, Q, D), which keeps its
-triples canonical (equal values, equal triples) and short: without it a
+A surd walk reduces each step to lowest terms, which keeps its triples
+canonical (equal values, equal triples) and short: without it a
 periodic orbit would carry a common factor that grows with every step.
 The golden mean (1+sqrt(5))/2 returns to 1/2 every three steps while
-s^k = 2^k grows.
+s^k = 2^k grows. The common factor of a step divides the step's
+determinant N = s*|p^2 - q^2*r|, so the reduction is a gcd against N,
+linear in the length of the triple, not a gcd of full-length integers.
 
 Each call walks the orbit afresh, and nothing outlives the call: a
 TentParam holds no orbit state, and kneading_sequence holds one point at
@@ -93,8 +100,13 @@ a window of one point) all hulls are that point, and the status is
 else, and never more than the window's points. Each class hull grows one
 point at a time by one exact comparison of integer triples,
 _sign(P*D' - P'*D, Q*D' - Q'*D, r) for (P + Q*sqrt(r))/D against
-(P' + Q'*sqrt(r))/D' (exactnum._compare), so a window costs O(window)
-comparisons.
+(P' + Q'*sqrt(r))/D' (exactnum._compare; for r = 0 the sign of
+P*D' - P'*D), so a window costs O(window) comparisons. The hulls are
+ordered by their lowest points. On a rational slope these are plain
+integers P*(D_max // D), with D_max = 2*s^(m-1) the denominator of the
+prefix's last point: every D = 2*s^k with k < m divides it, so the key
+is the point times D_max, exact. A surd slope orders them by _compare.
+The sort is stable either way, so tied hulls keep class order.
 
 At margin 0 the orbit is its own image, so the containment test reads
 T at one point at most. T is monotone on [0, 1/2] and on [1/2, 1], so
@@ -123,12 +135,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import accumulate, count, islice
+from itertools import accumulate, chain, count, islice
 from operator import mul
 
 from .errors import InputError
 from .exactnum import (
-    ExactNumber, Surd, _compare, _lowest, _product, _radicand, _reduced, _sign, _triple,
+    ExactNumber, Surd, _compare, _radicand, _reduced, _sign, _tent_step, _triple,
     format_exact, parse_exact,
 )
 
@@ -167,14 +179,19 @@ def _slope(a) -> TentParam:
 
 
 def tent_eval(a, x) -> ExactNumber:
-    """One exact application of the tent map; x must lie in [0, 1]."""
+    """One exact application of the tent map; x must lie in [0, 1].
+
+    x's triple is placed in [0, 1] and against 1/2 by _sign, and one
+    kernel step (exactnum._tent_step) maps it."""
     a = _slope(a).a
     x = _coerce(x)
-    if x < 0 or x > 1:
+    P, Q, D = _triple(x)
+    r = _radicand(x)
+    if _sign(P, Q, r) < 0 or _sign(P - D, Q, r) > 0:
         raise InputError(f"point {format_exact(x)} outside [0, 1]")
-    if x < HALF:
-        return a * x
-    return a * (1 - x)
+    r = _radicand(a, x)
+    P, Q, D, _ = _tent_step(*_triple(a), r, P, Q, D, _sign(2 * P - D, 2 * Q, r))
+    return _reduced(P, Q, D, r)
 
 
 def _walk(param: TentParam, sides: bool = False):
@@ -183,22 +200,17 @@ def _walk(param: TentParam, sides: bool = False):
     reduced for a rational slope (r = 0), in lowest terms for a surd
     slope.
 
-    The walk takes the side of each point, the sign of c_k - 1/2, as
-    _sign(2P - D, 2Q, r) once, when it makes the point, to choose the
-    next step. With sides=True it yields those signs in place of the
-    points, so kneading_sequence reads each sign instead of taking it
-    again."""
+    Each point is one kernel step (exactnum._tent_step), which also
+    takes the point's side, the sign of c_k - 1/2, once, to choose the
+    next step. With sides=True the walk yields those signs in place of
+    the points, so kneading_sequence reads each sign instead of taking
+    it again."""
     p, q, s = _triple(param.a)
     r = _radicand(param.a)
     P, Q, D, side = 1, 0, 2, 0  # c_0 = 1/2
     while True:
         yield side if sides else (P, Q, D)
-        if side >= 0:  # T(x) = a*(1 - x)
-            P, Q = D - P, -Q
-        P, Q, D = _product(p, q, s, P, Q, D, r)
-        if r:
-            P, Q, D = _lowest(P, Q, D)
-        side = _sign(2 * P - D, 2 * Q, r)
+        P, Q, D, side = _tent_step(p, q, s, r, P, Q, D, side)
 
 
 class _CriticalWalk:
@@ -407,7 +419,7 @@ def detect_interval_cycle(a, n: int, window: int = 64, margin=0) -> CycleDetecti
     by_value = cmp_to_key(lambda x, y: _compare(x, y, r))
     lo, hi = list(range(n)), list(range(n))  # each class's lowest and highest point
     moved, escape, leak, read = True, None, None, 0
-    for m in (*range(2 * n + 1, window, n), window):
+    for m in chain(range(2 * n + 1, window, n), (window,)):
         points = orbit.read(m)
         for k in range(max(read, n), m):
             j, x = k % n, points[k]
@@ -422,7 +434,12 @@ def detect_interval_cycle(a, n: int, window: int = 64, margin=0) -> CycleDetecti
         # no hull moved off its class's first point c_j, and those are all c_0
         if lo == hi and all(_compare(points[j], points[0], r) == 0 for j in range(n)):
             return CycleDetection(n=n, status="degenerate", window=window, margin=margin)
-        order = sorted(range(n), key=lambda j: by_value(points[lo[j]]))
+        if r:
+            keys = [by_value(points[i]) for i in lo]
+        else:  # P*(D_max // D) is exact: every D = 2*s^k divides D_max = 2*s^(m-1)
+            top = points[m - 1][2]
+            keys = [P * (top // D) for P, _, D in map(points.__getitem__, lo)]
+        order = sorted(range(n), key=keys.__getitem__)  # stable: ties keep class order
         neighbours = list(zip(order, order[1:]))
         for prev, nxt in neighbours:
             if _compare(points[hi[prev]], points[lo[nxt]], r) >= 0:

@@ -2,8 +2,9 @@ import sys
 import threading
 import tracemalloc
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import islice, pairwise
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -182,21 +183,29 @@ def test_kneading_holds_one_point_at_a_time(a, length):
 @pytest.mark.parametrize("text", ["(12-2*sqrt(5))/7", "(1+sqrt(5))/2", "(7+sqrt(13))/9", "13/10"])
 def test_kneading_takes_one_sign_per_point(monkeypatch, text):
     # the walk takes the side of each point to choose its step, and the
-    # symbols read that side: one _sign call per point, not two. The walk
-    # calls interval_dynamics._sign, so the counter sees every sign taken
-    a, length, calls = parse_exact(text), 200, 0
-    original = interval_dynamics._sign
+    # symbols read that side: one sign per point, not two. The kernel step
+    # takes it, by exactnum._sign on a surd slope and by comparing 2P with
+    # D inline on a rational one, so a sign taken is a _sign or _compare
+    # call in either module, or a rational step. The slope is validated
+    # before counting, since its range check compares too
+    a, length, calls = TentParam.from_text(text), 200, 0
 
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return original(*args)
+    def counting(original, rational_step=False):
+        def counted(*args):
+            nonlocal calls
+            calls += not rational_step or not args[3]  # args[3] is r
+            return original(*args)
+        return counted
 
-    monkeypatch.setattr(interval_dynamics, "_sign", counting)
+    for module in (exactnum, interval_dynamics):
+        for name in ("_sign", "_compare"):
+            monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    monkeypatch.setattr(interval_dynamics, "_tent_step",
+                        counting(interval_dynamics._tent_step, rational_step=True))
     symbols = kneading_sequence(a, length)
     assert length <= calls <= length + 1
     assert symbols == "".join("L" if x < HALF else ("C" if x == HALF else "R")
-                              for x in plain_orbit(a, length)[1:])
+                              for x in plain_orbit(a.a, length)[1:])
 
 
 # -- omega limit estimates ----------------------------------------------------------
@@ -620,6 +629,19 @@ def test_detector_comparison_orders_the_samples_exactly(a, m):
     for t, x in zip(triples, samples):
         signs = [interval_dynamics._compare(t, u, r) for u in triples]
         assert signs == [(x > y) - (x < y) for y in samples]
+    if r:
+        return
+    # a rational slope orders classes by the integers P*(D_max // D), D_max
+    # the last point's denominator: they must order the triples as _compare
+    # does, ties included, and sort them in the same stable order
+    top = triples[-1][2]
+    keys = [P * (top // D) for P, _, D in triples]
+    for t, key in zip(triples, keys):
+        assert [(key > k) - (key < k) for k in keys] == [
+            interval_dynamics._compare(t, u, 0) for u in triples]
+    by_value = cmp_to_key(lambda x, y: interval_dynamics._compare(x, y, 0))
+    assert sorted(range(m), key=keys.__getitem__) == sorted(
+        range(m), key=lambda k: by_value(triples[k]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -644,6 +666,86 @@ def test_one_loop_walk_matches_the_plain_orbit(a, m):
             assert exactnum._lowest(P, Q, D) == (P, Q, D)
         else:
             assert (Q, D) == (0, 2 * a.denominator ** k)
+
+
+# -- the kernel step ------------------------------------------------------------------
+
+
+def plain_tent(a, x):
+    """T_a(x) by plain exact arithmetic, with tent_eval's range check."""
+    if x < 0 or x > 1:
+        raise InputError(f"point {format_exact(x)} outside [0, 1]")
+    return a * x if x < HALF else a * (1 - x)
+
+
+@st.composite
+def exact_points(draw):
+    """Rationals and surds over radicands 2, 3 and 5 near [0, 1]."""
+    u = draw(st.fractions(min_value=Fraction(-1, 4), max_value=Fraction(5, 4),
+                          max_denominator=40))
+    r = draw(st.sampled_from([0, 2, 3, 5]))
+    if not r:
+        return u
+    v = draw(st.fractions(min_value=-1, max_value=1, max_denominator=40).filter(bool))
+    return surd(u, v, r)
+
+
+@settings(max_examples=250, deadline=None)
+@example(a=Fraction(0), x=SQRT2 - 1)  # the step's determinant is 0
+@example(a=Fraction(0), x=Fraction(1, 3))
+@example(a=SQRT2, x=Fraction(0))
+@example(a=SQRT2, x=HALF)
+@example(a=PHI, x=Fraction(1))
+@example(a=Fraction(3, 2), x=2 - SQRT2)
+@example(a=PHI, x=SQRT2 - 1)  # mixed radicands
+@example(a=PHI, x=SQRT2 + 1)  # mixed radicands, and outside [0, 1]
+@example(a=Fraction(2), x=-SQRT2 / 100)
+@given(
+    a=st.one_of(slopes(), st.fractions(min_value=0, max_value=2, max_denominator=64),
+                st.sampled_from([Fraction(0), Fraction(2), SQRT2, PHI])),
+    x=st.one_of(exact_points(), st.sampled_from(
+        [Fraction(0), HALF, Fraction(1), SQRT2 - 1, 2 - SQRT2, SQRT2 / 2, PHI - 1])),
+)
+def test_tent_eval_matches_plain_arithmetic(a, x):
+    # tent_eval is one kernel step on x's triple: it must give a*x or
+    # a*(1 - x), and reject what plain arithmetic rejects, with its message
+    try:
+        want = plain_tent(a, x)
+    except (InputError, ExactnessError) as exc:
+        with pytest.raises(type(exc)) as got:
+            tent_eval(a, x)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return
+    got = tent_eval(a, x)
+    assert got == want and type(got) is type(want)
+
+
+REDUCING = [parse_exact(t) for t in ("(5+sqrt(3))/4", "(1+sqrt(3))/2", "(1+sqrt(5))/2")]
+
+
+@settings(max_examples=15, deadline=None)
+@example(a=REDUCING[0], m=300)
+@given(
+    a=st.one_of(st.sampled_from(REDUCING), slopes().filter(lambda a: isinstance(a, Surd))),
+    m=st.integers(min_value=300, max_value=340),
+)
+def test_surd_walk_reduces_each_step_by_its_determinant(a, m):
+    # each surd step divides by a gcd against the step's determinant, not
+    # of the whole triple: its triples must still be in lowest terms, and
+    # on the REDUCING slopes steps with a common factor g > 1 occur
+    param, r = TentParam(a), a.r
+    p, q, s = exactnum._triple(a)
+    triples = list(islice(interval_dynamics._walk(param), m))
+    assert [exactnum._reduced(*t, r) for t in triples] == list(
+        islice(interval_dynamics._orbit(param, HALF), m))
+    common = []
+    for P, Q, D in triples:
+        assert exactnum._lowest(P, Q, D) == (P, Q, D)
+        if exactnum._sign(2 * P - D, 2 * Q, r) >= 0:
+            P, Q = D - P, -Q
+        common.append(gcd(*exactnum._product(p, q, s, P, Q, D, r)))
+    if a in REDUCING:
+        assert max(common) > 1
 
 
 @settings(max_examples=60, deadline=None)
