@@ -63,14 +63,12 @@ from .conjugacy import (
 )
 from .interval_dynamics import (
     CycleDetection,
-    OmegaEstimate,
     OrbitSegment,
     TentParam,
     TowerCertificate,
     critical_orbit,
     detect_interval_cycle,
     kneading_sequence,
-    omega_limit_estimate,
     tent_eval,
     tower_certificate,
 )
@@ -94,8 +92,7 @@ __all__ = [
     "FactorMap", "ModNColoring", "build_factor_map", "extend_tower",
     "find_mod_n_coloring", "injectivity_on_regularly_recurrent", "max_tower",
     "tower_to_alpha", "verify_equivariance",
-    "CycleDetection", "OmegaEstimate", "OrbitSegment", "TentParam",
-    "TowerCertificate", "critical_orbit", "detect_interval_cycle",
-    "kneading_sequence", "omega_limit_estimate", "tent_eval",
-    "tower_certificate",
+    "CycleDetection", "OrbitSegment", "TentParam", "TowerCertificate",
+    "critical_orbit", "detect_interval_cycle", "kneading_sequence",
+    "tent_eval", "tower_certificate",
 ]

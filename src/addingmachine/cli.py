@@ -442,7 +442,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[tuple[str, str], _Lea
     levels("--primes", default=None, help="comma-separated level factors, e.g. 2,2")
     cert.add_argument("--transient", type=int, default=0, help="accepted, no effect")
     cert.add_argument("--window", type=int, default=64, help="critical-orbit points to read at most")
-    cert.add_argument("--margin", default="0")
+    cert.add_argument("--margin", default="0",
+                      help="exact widening of each hull, for the certification only")
     p_cy = tent("cycle", cert, help="interval cycle certificate")
     p_cy.add_argument("--a", required=True)
     p_sw = tent("sweep", cert, help="CSV of certificates over a slope range")

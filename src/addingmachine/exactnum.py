@@ -373,14 +373,6 @@ def _tent_step(p: int, q: int, s: int, r: int, P: int, Q: int, D: int,
     return P, Q, D, _sign(2 * P - D, 2 * Q, r)
 
 
-def exact_sign(x: ExactNumber) -> int:
-    """Exact sign of a Surd, or of a Fraction or int (its numerator's)."""
-    if isinstance(x, Surd):
-        return x.sign()
-    n = x.numerator
-    return (n > 0) - (n < 0)
-
-
 def exact_sqrt(x) -> ExactNumber:
     """Exact square root of a nonnegative rational."""
     q = Fraction(x)

@@ -5,12 +5,14 @@ T_a(x) = a*x for x < 1/2 and a*(1-x) for x >= 1/2, with slope a in
 orbits, kneading symbols, and interval endpoints are all exact; cycles
 are detected by exact equality, never by closeness.
 
-Orbits handed out point by point (critical_orbit, omega_limit_estimate)
-step exact numbers with that formula from their first point on. For a
-rational slope p/s and a rational point N/D, Fraction arithmetic
-reduces a*x by gcd(p, D) and gcd(N, s), gcds against the short p and s,
-and 1 - x needs none, so each point costs time linear in its bits. A
-surd step reduces its triple with one gcd (exactnum._reduced).
+critical_orbit, which hands out an orbit point by point, steps exact
+numbers with that formula from 1/2 on, a*x or a*(1 - x), and takes no
+step past its last point. For a rational slope p/s and a rational point
+N/D, Fraction arithmetic reduces a*x by gcd(p, D) and gcd(N, s), gcds
+against the short p and s, and 1 - x needs none, so each point costs
+time linear in its bits. A surd step reduces by the gcd of the whole
+triple (exactnum._reduced): once for x < 1/2, and twice for x >= 1/2,
+where 1 - x is reduced before the product.
 
 The kneading symbols and the interval-cycle detector read the critical
 orbit (the orbit of 1/2) in integers instead. With the slope written as
@@ -108,26 +110,40 @@ prefix's last point: every D = 2*s^k with k < m divides it, so the key
 is the point times D_max, exact. A surd slope orders them by _compare.
 The sort is stable either way, so tied hulls keep class order.
 
-At margin 0 the orbit is its own image, so the containment test reads
-T at one point at most. T is monotone on [0, 1/2] and on [1/2, 1], so
-T(I_j) is the hull of T at the two ends of I_j and, when I_j straddles
-1/2, of T(1/2) = c_1; it lies in I_(j+1) exactly when those points do.
-- An end c_i with i + 1 < m has T(c_i) = c_(i+1), a point read of class
-  j + 1, so it lies in I_(j+1) with no test. This holds for 1/2 as an
-  end too (c_0, or a c_k = 1/2 on a periodic orbit): T(c_k) = c_(k+1)
-  all the same.
-- c_0 = 1/2 lies in I_0, and the hulls are disjoint by now, so no hull
-  of class j != 0 reaches 1/2 (it would meet I_0: "absent"). Only I_0
-  can straddle 1/2, and T(1/2) = c_1 is a point of class 1. (c_1 is
-  read: a prefix of the one point c_0 is "degenerate".)
-So the one point left to test is T(c_(m-1)), when c_(m-1) is an end of
-its hull. tent_eval evaluates it on the exact c_(m-1), _compare places it
-against the ends of the next hull, and the walk never steps past the
-prefix. Exact numbers are built only for the detection returned: the
-certified hulls, or, for an escape, the hull, its image (tent_eval at
-its ends) and the target. The margin path is unchanged: a widened hull
-ends at no orbit point, so its images are read off tent_eval at both
-ends and at 1/2.
+After the absence check both margins test containment by one rule: T
+is evaluated only at the hull ends whose image is not an orbit point
+already read, and _compare places each image against the ends of the
+next hull. Write W_j for the hull I_j widened by the margin (W_j = I_j
+at margin 0). T is monotone on [0, 1/2] and on [1/2, 1], so T(W_j) is
+the hull of T at the two ends of W_j and, when W_j straddles 1/2, of
+T(1/2) = c_1; it lies in W_(j+1) exactly when those points do.
+
+T(1/2) never decides containment. The W_j are disjoint by now: at
+margin 0 because the hulls did not meet, and with a margin because
+widened hulls that meet make the prefix grow before T is read. c_0 =
+1/2 lies in I_0, inside W_0, so no W_j of class j != 0 reaches 1/2, and
+only W_0 can straddle it. Its image point T(1/2) = c_1 lies in I_1,
+inside W_1, the target of class 0 (for n = 1 that is I_0, inside W_0
+itself). (c_1 is read: a prefix of the one point c_0 is "degenerate".)
+So T(W_j) lies in W_(j+1) for every j exactly when T at every end of
+every W_j does.
+
+- At margin 0 the ends are orbit points, and the orbit is its own
+  image. An end c_i with i + 1 < m has T(c_i) = c_(i+1), a point read of
+  class j + 1, so it lies in I_(j+1) with no test. This holds for 1/2 as
+  an end too (c_0, or a c_k = 1/2 on a periodic orbit): T(c_k) = c_(k+1)
+  all the same. So the one end tested is c_(m-1), when it is an end of
+  its hull.
+- With a margin mu the ends are the triples x - mu and x + mu, for x the
+  ends of I_j, clamped by _compare to (0, 0, 1) and (1, 0, 1) and built
+  with plain integer arithmetic on the triples of x and mu. They are no
+  orbit points read, in general, so every widened end is tested.
+
+tent_eval evaluates each tested end on its exact number, and the walk
+never steps past the prefix. Beyond the tested ends, exact numbers are
+built only for the detection returned: the certified hulls, or, for an
+escape, the hull, its image (_tent_image, which reads T at 1/2 too) and
+the target.
 """
 
 from __future__ import annotations
@@ -135,7 +151,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import accumulate, chain, count, islice
+from itertools import accumulate, chain, islice
 from operator import mul
 
 from .errors import InputError
@@ -145,6 +161,7 @@ from .exactnum import (
 )
 
 HALF = Fraction(1, 2)
+ZERO, ONE = (0, 0, 1), (1, 0, 1)  # the triples of 0 and 1
 
 
 def _coerce(value) -> ExactNumber:
@@ -228,22 +245,6 @@ class _CriticalWalk:
         return self.points
 
 
-def _orbit(param: TentParam, x, start: int = 0):
-    """Yield points start, start + 1, ... of the orbit x, T(x), T(T(x)), ...,
-    each stepped from the last as a*x or a*(1 - x).
-
-    x is checked against [0, 1] once: T_a maps [0, 1] into [0, a/2] and
-    a <= 2, so every later point lies there too.
-    """
-    if x < 0 or x > 1:
-        raise InputError(f"point {format_exact(x)} outside [0, 1]")
-    a = param.a
-    for k in count():
-        if k >= start:
-            yield x
-        x = a * x if x < HALF else a * (1 - x)
-
-
 @dataclass(frozen=True)
 class OrbitSegment:
     """An exact orbit prefix; points[k+1] = T(points[k]).
@@ -258,31 +259,26 @@ class OrbitSegment:
     cycle_start: int | None = None
     period: int | None = None
 
-    @property
-    def start(self):
-        return self.points[0]
-
-    def __len__(self):
-        return len(self.points)
-
 
 def critical_orbit(a, budget: int = 64) -> OrbitSegment:
     """Orbit of the turning point 1/2 under T_a, for budget applications."""
-    a = _slope(a)
+    a = _slope(a).a
     if budget < 0:
         raise InputError(f"budget must be >= 0, got {budget}")
+    x = HALF
     seen: dict = {}  # point -> index, in orbit order
-    for x in islice(_orbit(a, HALF), budget + 1):
-        if x in seen:
-            first = seen[x]
-            return OrbitSegment(
-                points=tuple(seen),
-                status="exact-cycle-found",
-                cycle_start=first,
-                period=len(seen) - first,
-            )
+    while x not in seen:
         seen[x] = len(seen)
-    return OrbitSegment(points=tuple(seen), status="transient-only")
+        if len(seen) > budget:  # no step past the last point
+            return OrbitSegment(points=tuple(seen), status="transient-only")
+        x = a * x if x < HALF else a * (1 - x)
+    first = seen[x]
+    return OrbitSegment(
+        points=tuple(seen),
+        status="exact-cycle-found",
+        cycle_start=first,
+        period=len(seen) - first,
+    )
 
 
 def kneading_sequence(a, length: int) -> str:
@@ -292,52 +288,6 @@ def kneading_sequence(a, length: int) -> str:
         raise InputError(f"length must be >= 0, got {length}")
     # the walk's sides, the signs of c_k - 1/2; sign -1 picks "L"
     return "".join("CRL"[side] for side in islice(_walk(a, sides=True), 1, length + 1))
-
-
-@dataclass(frozen=True)
-class OmegaEstimate:
-    """Closed rational-endpoint intervals covering the sampled tail.
-
-    An outer cover of the observed samples: every post-transient sample
-    lies inside some interval. Samples closer than the resolution are
-    merged into one interval.
-    """
-
-    intervals: tuple
-    resolution: ExactNumber
-    transient: int
-    window: int
-    samples: tuple
-
-
-def omega_limit_estimate(a, y, transient: int, window: int, resolution=0) -> OmegaEstimate:
-    """Iterate past the transient, then cover the next window of points."""
-    a = _slope(a)
-    y = _coerce(y)
-    resolution = _coerce(resolution)
-    if transient < 0 or window < 1:
-        raise InputError("need transient >= 0 and window >= 1")
-    if resolution < 0:
-        raise InputError("resolution must be >= 0")
-    _radicand(a.a, y, resolution)  # checked up front: a window of one point runs no step
-    samples = tuple(islice(_orbit(a, y, transient), window))
-    ordered = sorted(set(samples))
-    intervals = []
-    lo = hi = ordered[0]
-    for v in ordered[1:]:
-        if v - hi <= resolution:
-            hi = v
-        else:
-            intervals.append((lo, hi))
-            lo = hi = v
-    intervals.append((lo, hi))
-    return OmegaEstimate(
-        intervals=tuple(intervals),
-        resolution=resolution,
-        transient=transient,
-        window=window,
-        samples=samples,
-    )
 
 
 @dataclass(frozen=True)
@@ -362,12 +312,6 @@ class CycleDetection:
     intervals: tuple | None = None
     overlap: tuple | None = None
     escape: tuple | None = None
-
-
-def _exact_hulls(points: list, lo: list, hi: list, r: int) -> tuple:
-    """The class hulls as pairs of exact numbers, from the indices of
-    their lowest and highest points."""
-    return tuple((_reduced(*points[i], r), _reduced(*points[k], r)) for i, k in zip(lo, hi))
 
 
 def _tent_image(a: TentParam, lo, hi):
@@ -397,10 +341,12 @@ def detect_interval_cycle(a, n: int, window: int = 64, margin=0) -> CycleDetecti
     of its class by _compare on integer triples. So a window costs
     O(window) comparisons, and the walk stops at the prefix that decides.
     A prefix in which no hull moved would repeat the last verdict, which
-    did not decide, so it is skipped. At margin 0 the containment test
-    evaluates T at one point at most, the end c_(m-1) (module docstring),
-    and exact numbers are built only for the detection returned: the
-    certified hulls, or the escape's hull, image and target.
+    did not decide, so it is skipped. Containment evaluates T only at the
+    hull ends whose image is not an orbit point already read: at margin 0
+    the end c_(m-1) at most, with a margin every widened end (module
+    docstring). Beyond those ends, exact numbers are built only for the
+    detection returned: the certified hulls, or the escape's hull, image
+    and target.
     """
     # tower_certificate hands its levels one shared _CriticalWalk as `a`
     orbit = a if isinstance(a, _CriticalWalk) else _CriticalWalk(_slope(a))
@@ -418,7 +364,7 @@ def detect_interval_cycle(a, n: int, window: int = 64, margin=0) -> CycleDetecti
         return CycleDetection(n=n, status="inconclusive", window=window, margin=margin)
     by_value = cmp_to_key(lambda x, y: _compare(x, y, r))
     lo, hi = list(range(n)), list(range(n))  # each class's lowest and highest point
-    moved, escape, leak, read = True, None, None, 0
+    moved, leak, read = True, None, 0
     for m in chain(range(2 * n + 1, window, n), (window,)):
         points = orbit.read(m)
         for k in range(max(read, n), m):
@@ -446,34 +392,35 @@ def detect_interval_cycle(a, n: int, window: int = 64, margin=0) -> CycleDetecti
                 return CycleDetection(
                     n=n, status="absent", window=window, margin=margin, overlap=(prev, nxt)
                 )
-        escape = leak = None
-        if not margin:
-            # the orbit is its own image: only an end c_(m-1) has no image read
-            k = m - 1
-            j = k % n
-            if k in (lo[j], hi[j]):
-                y, t = _triple(tent_eval(a, _reduced(*points[k], r))), (j + 1) % n
-                if _compare(y, points[lo[t]], r) < 0 or _compare(y, points[hi[t]], r) > 0:
-                    leak = j
-                    continue
-            return CycleDetection(n=n, status="certified", window=window, margin=margin,
-                                  intervals=_exact_hulls(points, lo, hi, r))
-        hulls = [(max(x - margin, Fraction(0)), min(y + margin, Fraction(1)))
-                 for x, y in _exact_hulls(points, lo, hi, r)]
-        if any(not hulls[prev][1] < hulls[nxt][0] for prev, nxt in neighbours):
-            continue  # widened hulls that meet certify nothing, and rule nothing out
-        for j in range(n):
-            img = _tent_image(a, *hulls[j])
-            target = hulls[(j + 1) % n]
-            if img[0] < target[0] or img[1] > target[1]:
-                escape = (j, img, target)
+        leak = None
+        if margin:  # the widened ends x - mu and x + mu, clamped to [0, 1]: each is tested
+            mP, mQ, mD = _triple(margin)
+            ends = []
+            for i, k in zip(lo, hi):
+                (P, Q, D), (P2, Q2, D2) = points[i], points[k]
+                low = (P * mD - mP * D, Q * mD - mQ * D, D * mD)
+                high = (P2 * mD + mP * D2, Q2 * mD + mQ * D2, D2 * mD)
+                ends.append((ZERO if _compare(low, ZERO, r) < 0 else low,
+                             ONE if _compare(high, ONE, r) > 0 else high))
+            if any(_compare(ends[prev][1], ends[nxt][0], r) >= 0 for prev, nxt in neighbours):
+                continue  # widened hulls that meet certify nothing, and rule nothing out
+            tested = [(j, x) for j, end in enumerate(ends) for x in end]
+        else:  # the orbit is its own image: only an end c_(m-1) has no image read
+            ends = [(points[i], points[k]) for i, k in zip(lo, hi)]
+            j = (m - 1) % n
+            tested = ((j, points[m - 1]),) if m - 1 in (lo[j], hi[j]) else ()
+        for j, x in tested:
+            y, target = _triple(tent_eval(a, _reduced(*x, r))), ends[(j + 1) % n]
+            if _compare(y, target[0], r) < 0 or _compare(y, target[1], r) > 0:
+                leak = j
                 break
         else:
-            return CycleDetection(
-                n=n, status="certified", window=window, margin=margin, intervals=tuple(hulls)
-            )
+            intervals = tuple((_reduced(*x, r), _reduced(*y, r)) for x, y in ends)
+            return CycleDetection(n=n, status="certified", window=window, margin=margin,
+                                  intervals=intervals)
+    escape = None
     if leak is not None:  # the hulls of the last prefix examined, which no later point moved
-        hulls = _exact_hulls(points, lo, hi, r)
+        hulls = [(_reduced(*x, r), _reduced(*y, r)) for x, y in ends]
         escape = (leak, _tent_image(a, *hulls[leak]), hulls[(leak + 1) % n])
     return CycleDetection(n=n, status="inconclusive", window=window, margin=margin, escape=escape)
 

@@ -11,7 +11,6 @@ from addingmachine._intmath import FACTOR_LIMIT, decimal_str, factorize
 from addingmachine.errors import ExactnessError, InputError
 from addingmachine.exactnum import (
     Surd,
-    exact_sign,
     exact_sqrt,
     format_exact,
     parse_exact,
@@ -277,6 +276,11 @@ def oracle_sign(a, b, r):
     return -1 if p <= 0 or p * p < q * q * r else 1  # positive iff p > |q|*sqrt(r)
 
 
+def sign_of(z, r):
+    """Surd.sign() of a Surd z, and the oracle's sign of a rational z."""
+    return z.sign() if isinstance(z, Surd) else oracle_sign(Fraction(z), Fraction(0), r)
+
+
 wide_rationals = st.fractions(
     min_value=Fraction(-100), max_value=Fraction(100), max_denominator=10 ** 4
 )
@@ -325,7 +329,7 @@ def test_sign_and_comparisons_match_integer_oracle(a, b, c, d, r):
         assert (x < other) == (s < 0)
         assert (x > other) == (s > 0)
         assert (x == other) == (s == 0)
-        assert exact_sign(x - other) == s
+        assert sign_of(x - other, r) == s
 
 
 # -- differential test against an oracle on rational coefficient pairs ---------
@@ -392,7 +396,7 @@ def test_surd_matches_pair_oracle(data, r, a, b):
     x = Surd(a, b, r)
     assert_is(x, a, b, r)
     assert_is(-x, -a, -b, r)
-    assert x.sign() == exact_sign(x) == oracle_sign(a, b, r)
+    assert x.sign() == oracle_sign(a, b, r)
     assert_is(abs(x), *((a, b) if oracle_sign(a, b, r) > 0 else (-a, -b)), r)
     y, (c, d) = data.draw(operands(r))
     for op, formula in PAIR_OPS.items():
@@ -407,7 +411,7 @@ def test_surd_matches_pair_oracle(data, r, a, b):
     for op in COMPARISONS:
         assert op(x, y) == op(sign, 0)
         assert op(y, x) == op(0, sign)
-    assert exact_sign(x - y) == sign
+    assert sign_of(x - y, r) == sign
     assert (x == y) == (sign == 0)
     # one value reached along different paths is one canonical triple,
     # and x/2 differs from x even where only the denominator tells them apart

@@ -20,7 +20,6 @@ from addingmachine.interval_dynamics import (
     critical_orbit,
     detect_interval_cycle,
     kneading_sequence,
-    omega_limit_estimate,
     tent_eval,
     tower_certificate,
 )
@@ -208,54 +207,71 @@ def test_kneading_takes_one_sign_per_point(monkeypatch, text):
                               for x in plain_orbit(a.a, length)[1:])
 
 
-# -- omega limit estimates ----------------------------------------------------------
+# -- kneading renormalization ------------------------------------------------------
 
 
-def test_omega_estimate_collapses_to_cycle():
-    om = omega_limit_estimate(Fraction(2), Fraction(1, 2), transient=2, window=4)
-    assert om.intervals == ((Fraction(0), Fraction(0)),)
-    assert om.samples == (Fraction(0),) * 4
+SIGMA = {"R": "RL", "L": "RR", "C": "RC"}
 
 
-def test_omega_estimate_degenerate_at_surd_fixed_point():
-    om = omega_limit_estimate(SQRT2, Fraction(1, 2), transient=4, window=8)
-    fixed = 2 - SQRT2
-    assert om.intervals == ((fixed, fixed),)
+def slope_text(p, q, r, s):
+    """(p + q*sqrt(r))/s as text, p/s when q = 0."""
+    if not q:
+        return f"{p}/{s}"
+    return f"({p}{'+' if q > 0 else '-'}{abs(q)}*sqrt({r}))/{s}"
 
 
-def test_omega_estimate_rational_seed_lands_on_interior_fixed_point():
-    om = omega_limit_estimate(Fraction(2), Fraction(1, 3), transient=1, window=8)
-    assert om.intervals == ((Fraction(2, 3), Fraction(2, 3)),)
+@st.composite
+def renormalizable_slopes(draw):
+    """(p, q, r, s) with 1 < (p + q*sqrt(r))/s <= sqrt(2): rational (q = 0)
+    or in Q(sqrt(r)) for r = 2, 3, 5, 7. Floats only place the slope;
+    integer signs decide which side of 1 and of sqrt(2) it is on."""
+    s = draw(st.integers(min_value=2, max_value=10**6))
+    target = 1 + draw(st.integers(min_value=1, max_value=4142)) / 10**4
+    r = draw(st.sampled_from([0, 2, 3, 5, 7]))
+    q = draw(st.sampled_from([-3, -2, -1, 1, 2, 3])) if r else 0
+    p = round(s * target - q * r ** 0.5)
+    # a > 1 and a^2 <= 2, with a^2 = (p^2 + q^2*r + 2*p*q*sqrt(r))/s^2
+    assume(surd_sign(p - s, q, r) > 0)
+    assume(surd_sign(p * p + q * q * r - 2 * s * s, 2 * p * q, r) <= 0)
+    return p, q, r, s
 
 
-def test_omega_estimate_resolution_merging():
-    om = omega_limit_estimate(
-        Fraction(13, 10), Fraction(1, 2), transient=0, window=4,
-        resolution=Fraction(1, 20),
-    )
-    assert om.intervals == (
-        (Fraction(91, 200), Fraction(1, 2)),
-        (Fraction(1183, 2000), Fraction(1183, 2000)),
-        (Fraction(13, 20), Fraction(13, 20)),
-    )
-    wide = omega_limit_estimate(
-        Fraction(13, 10), Fraction(1, 2), transient=0, window=4, resolution=1
-    )
-    assert wide.intervals == ((Fraction(91, 200), Fraction(13, 20)),)
+@settings(max_examples=150, deadline=None)
+@example(slope=(0, 1, 2, 1), length=40)  # a = sqrt(2), where K(2) = RLLL...
+@given(slope=renormalizable_slopes(), length=st.integers(min_value=1, max_value=120))
+def test_kneading_renormalizes_under_the_square(slope, length):
+    """K(a)[:2L] = sigma(K(a^2)[:L]) for 1 < a <= sqrt(2), K the kneading
+    sequence and sigma the substitution R -> RL, L -> RR, C -> RC.
 
+    Proof. Let x* = a/(1 + a), the fixed point a*(1 - x*) = x*, which lies
+    in (1/2, 1) for a > 1, and J = [1 - x*, x*], the interval around 1/2
+    whose ends T maps to x*. On J, T(x) = a/2 - a*|x - 1/2| lies in
+    [x*, a/2], right of 1/2, where T(y) = a*(1 - y); so for x in J
 
-def test_omega_estimate_covers_every_sample():
-    om = omega_limit_estimate(
-        Fraction(19, 10), Fraction(1, 3), transient=5, window=40,
-        resolution=Fraction(1, 50),
-    )
-    assert len(om.samples) == 40
-    for s in om.samples:
-        assert any(lo <= s <= hi for lo, hi in om.intervals)
-    los = [lo for lo, _ in om.intervals]
-    assert los == sorted(los)
-    with pytest.raises(InputError):
-        omega_limit_estimate(Fraction(2), Fraction(1, 2), transient=0, window=0)
+        T^2(x) = a - a^2/2 + a^2*|x - 1/2|.
+
+    The orientation-reversing affine map h(x) = (x* - x)/l, l = 2x* - 1 =
+    (a - 1)/(a + 1), sends J onto [0, 1] and fixes 1/2, and
+    |x - 1/2| = l*|h(x) - 1/2|. Since x* - a + a^2/2 = a^2*l/2 (times
+    1 + a, both sides are (a^3 - a^2)/2),
+
+        h(T^2(x)) = a^2/2 - a^2*|h(x) - 1/2| = T_(a^2)(h(x)),
+
+    so on J, T_a^2 is h^-1 T_(a^2) h, a copy of T_(a^2) turned around.
+    a^2 <= 2 makes T_(a^2) a tent map of [0, 1] into itself, so T^2 maps J
+    into J, and by induction from c_0 = 1/2 = h(1/2) the critical orbits
+    c_k of T_a and d_k of T_(a^2) satisfy c_(2k) = h^-1(d_k). h reverses
+    order about 1/2, so c_(2k) is L, C or R exactly when d_k is R, C or
+    L, and c_(2k+1) = T(c_(2k)) lies in T(J), right of 1/2: R. So symbols
+    2k - 1 and 2k of K(a) (c_(2k-1) and c_(2k), counting from 1) are R and
+    symbol k of K(a^2) turned around: sigma's image of it.
+
+    The test shares no code with the package beyond kneading_sequence,
+    which reads both slopes as text."""
+    p, q, r, s = slope
+    inner = kneading_sequence(slope_text(p * p + q * q * r, 2 * p * q, r, s * s), length)
+    outer = kneading_sequence(slope_text(p, q, r, s), 2 * length)
+    assert outer == "".join(SIGMA[symbol] for symbol in inner)
 
 
 # -- interval cycle detection ----------------------------------------------------------
@@ -399,7 +415,6 @@ def test_every_orbit_consumer_reads_the_same_walk(a, transient, window, n):
     points = [half]  # reference: a plain tent_eval loop
     for _ in range(length):
         points.append(tent_eval(a, points[-1]))
-    tail = points[transient:length]
 
     orbit = critical_orbit(a, length)
     if orbit.status == "transient-only":
@@ -409,7 +424,6 @@ def test_every_orbit_consumer_reads_the_same_walk(a, transient, window, n):
     assert kneading_sequence(a, length) == "".join(
         "L" if x < half else ("C" if x == half else "R") for x in points[1:]
     )
-    assert list(omega_limit_estimate(a, half, transient, window).samples) == tail
     det = detect_interval_cycle(a, n, window)
     if det.status == "certified":
         # a certified family is forward invariant: whatever prefix certified
@@ -578,9 +592,13 @@ def test_consumers_of_one_param_read_one_orbit_in_any_order(a, transient, window
             assert_window_hulls(det, points[:window])
 
     def check_zip():
-        lead, lag = interval_dynamics._orbit(param, HALF), interval_dynamics._orbit(param, HALF)
+        # two walks of one param, read in lockstep one point apart, against
+        # plain exact arithmetic, which shares no kernel with the walk
+        r, want = exactnum._radicand(param.a), exact_orbit(param.a, length + 1)
+        lead, lag = interval_dynamics._walk(param), interval_dynamics._walk(param)
         next(lead)
-        assert list(islice(zip(lag, lead), length)) == list(zip(points, points[1:]))
+        assert [(exactnum._reduced(*x, r), exactnum._reduced(*y, r))
+                for x, y in islice(zip(lag, lead), length)] == list(zip(want, want[1:]))
 
     checks = {
         "critical_orbit": check_critical_orbit,
@@ -678,6 +696,14 @@ def plain_tent(a, x):
     return a * x if x < HALF else a * (1 - x)
 
 
+def exact_orbit(a, m):
+    """The first m points 1/2, T(1/2), ... by plain exact arithmetic."""
+    points = [HALF]
+    while len(points) < m:
+        points.append(plain_tent(a, points[-1]))
+    return points[:m]
+
+
 @st.composite
 def exact_points(draw):
     """Rationals and surds over radicands 2, 3 and 5 near [0, 1]."""
@@ -736,8 +762,7 @@ def test_surd_walk_reduces_each_step_by_its_determinant(a, m):
     param, r = TentParam(a), a.r
     p, q, s = exactnum._triple(a)
     triples = list(islice(interval_dynamics._walk(param), m))
-    assert [exactnum._reduced(*t, r) for t in triples] == list(
-        islice(interval_dynamics._orbit(param, HALF), m))
+    assert [exactnum._reduced(*t, r) for t in triples] == exact_orbit(a, m)
     common = []
     for P, Q, D in triples:
         assert exactnum._lowest(P, Q, D) == (P, Q, D)
@@ -746,42 +771,6 @@ def test_surd_walk_reduces_each_step_by_its_determinant(a, m):
         common.append(gcd(*exactnum._product(p, q, s, P, Q, D, r)))
     if a in REDUCING:
         assert max(common) > 1
-
-
-@settings(max_examples=60, deadline=None)
-@example(a=Fraction(3, 2), y=SQRT2 - 1, transient=3, window=6)  # a rational slope, a surd point
-@example(a=SQRT2, y=Fraction(1, 3), transient=0, window=8)
-@example(a=parse_exact("sqrt(3)"), y=SQRT2 - 1, transient=0, window=1)  # no step runs
-@given(
-    a=st.one_of(slopes(), st.sampled_from([Fraction(0), Fraction(2), SQRT2])),
-    y=st.one_of(st.fractions(min_value=0, max_value=1, max_denominator=50),
-                st.sampled_from([SQRT2 - 1, 2 - SQRT2, SQRT2 / 2])),
-    transient=st.integers(min_value=0, max_value=8),
-    window=st.integers(min_value=1, max_value=20),
-)
-def test_omega_samples_from_any_point_follow_tent_eval(a, y, transient, window):
-    if isinstance(a, Surd) and isinstance(y, Surd) and a.r != y.r:
-        with pytest.raises(ExactnessError):
-            omega_limit_estimate(a, y, transient, window)
-        return
-    points = [y]
-    for _ in range(transient + window - 1):
-        points.append(tent_eval(a, points[-1]))
-    assert omega_limit_estimate(a, y, transient, window).samples == tuple(points[transient:])
-
-
-def test_omega_estimate_rejects_a_start_outside_the_unit_interval():
-    with pytest.raises(InputError, match=r"point 3/2 outside \[0, 1\]"):
-        omega_limit_estimate(Fraction(3, 2), Fraction(3, 2), 0, 4)
-
-
-def test_omega_estimate_checks_the_resolution_radicand_up_front():
-    # a window of one point compares nothing, so only the up-front check
-    # can see that the resolution lives in another field than the slope
-    sqrt3, resolution = parse_exact("sqrt(3)"), parse_exact("sqrt(2)/100")
-    for window in (1, 2):
-        with pytest.raises(ExactnessError, match=r"sqrt\(3\) with sqrt\(2\)"):
-            omega_limit_estimate(sqrt3, Fraction(1, 3), 0, window, resolution)
 
 
 # -- differential check against the exact-number detector ------------------------------
@@ -826,9 +815,22 @@ def reference_detection(a, n, window, margin):
     return CycleDetection(status="inconclusive", escape=escape, **same), window
 
 
-# the last four examples are the cases the orbit rule of the margin-0
-# containment test singles out (module docstring);
-# test_orbit_rule_examples_are_what_they_claim checks each comment
+@st.composite
+def surd_margins(draw):
+    """Margins u*(sqrt(r) - floor(sqrt(r))) + w in Q(sqrt(r)), r = 2, 3, 5,
+    from far inside the orbit's gaps to wide enough to reach past 0 and 1."""
+    r = draw(st.sampled_from([2, 3, 5]))
+    u = draw(st.fractions(min_value=0, max_value=1, max_denominator=16).filter(bool))
+    scale = draw(st.sampled_from([Fraction(1, 10**4), Fraction(1, 50), Fraction(1)]))
+    w = draw(st.sampled_from([Fraction(0), Fraction(1, 1000), Fraction(1, 4)]))
+    return scale * u * surd(-isqrt(r), 1, r) + w
+
+
+# the first five examples are cases the orbit rule of the margin-0
+# containment test singles out (module docstring), and
+# test_orbit_rule_examples_are_what_they_claim checks the comments of the
+# second to fifth; the last three widen ends past 0 or 1, with a margin in
+# the slope's own field or a surd margin on a rational slope
 @settings(max_examples=300, deadline=None)
 @example(a=PHI, n=3, window=9, margin=Fraction(0))  # 1/2 recurs in every class 0
 @example(a=PHI, n=2, window=5, margin=Fraction(0))  # c_3 = 1/2 lies in class 1
@@ -838,13 +840,19 @@ def reference_detection(a, n, window, margin):
 @example(a=SQRT2, n=1, window=1, margin=Fraction(0))  # one rational point
 @example(a=Fraction(11, 10), n=4, window=12, margin=Fraction(1, 7))
 @example(a=Fraction(13, 10), n=2, window=64, margin=Fraction(1, 1000))  # widened escapes
+@example(a=Fraction(1, 2), n=1, window=6, margin=SQRT2 / 10)  # clamped at 0, certified
+@example(a=PHI, n=1, window=4, margin=2 * PHI - 3)  # clamped at 1, escapes
+@example(a=SQRT2, n=1, window=8, margin=SQRT2 / 2)  # clamped at 0 and at 1
 @given(
     a=st.one_of(slopes(), st.sampled_from([Fraction(0), Fraction(1), Fraction(2), SQRT2, PHI])),
     n=st.integers(min_value=1, max_value=9),
     window=st.integers(min_value=1, max_value=64),
-    margin=st.sampled_from([Fraction(0), Fraction(1, 1000), Fraction(1, 7)]),
+    margin=st.one_of(st.sampled_from([Fraction(0), Fraction(1, 1000), Fraction(1, 7)]),
+                     surd_margins()),
 )
 def test_detection_matches_the_exact_number_reference(a, n, window, margin):
+    # a surd margin lies in the slope's own field, or widens a rational slope
+    assume(not isinstance(a, Surd) or not isinstance(margin, Surd) or a.r == margin.r)
     assert detect_interval_cycle(a, n, window, margin) == reference_detection(
         a, n, window, margin
     )[0]
