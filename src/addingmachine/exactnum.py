@@ -61,6 +61,10 @@ parse_exact reads it with q*sqrt(r) written as sqrt(r) too, as in
 literals, and one sqrt term c*sqrt(r)/d (c and d optional) after an
 optional rational and its sign or a bare minus: sqrt(2), -sqrt(2),
 3*sqrt(2)/4, 2-sqrt(2).
+
+exact_rational is the one gate for a rational argument, here and in
+finite_ifs: an int (not a bool), a Fraction or a rational string. A
+float is an InputError, never a silently converted binary fraction.
 """
 
 from __future__ import annotations
@@ -159,8 +163,8 @@ class Surd:
     each result with a single gcd and collapses to a Fraction whenever
     the irrational part cancels; comparisons run no gcd. Build values
     with the surd() factory or plain arithmetic; Surd(a, b, r) takes the
-    rational coefficients of a + b*sqrt(r), and .a and .b give them back
-    as Fractions.
+    exact rational coefficients (exact_rational) of a + b*sqrt(r), and .a
+    and .b give them back as Fractions.
 
     Every operation reads its operand as a triple through _parts and
     applies one formula to the two triples. The reflected - and / apply
@@ -176,7 +180,7 @@ class Surd:
         _, m = squarefree_decompose(r)
         if m != r or r < 2:
             raise InputError(f"radicand must be squarefree and >= 2, got {r}")
-        a, b = Fraction(a), Fraction(b)
+        a, b = exact_rational(a), exact_rational(b)
         self._p, self._q, self._s = _lowest(
             a.numerator * b.denominator, b.numerator * a.denominator, a.denominator * b.denominator)
         self.r = r
@@ -305,8 +309,9 @@ class Surd:
 
 
 def surd(a, b, r: int) -> ExactNumber:
-    """Build a + b*sqrt(r), collapsing to a Fraction when possible."""
-    a, b = Fraction(a), Fraction(b)
+    """Build a + b*sqrt(r), collapsing to a Fraction when possible; a
+    and b are exact rationals (exact_rational)."""
+    a, b = exact_rational(a), exact_rational(b)
     if b == 0:
         return a
     k, m = squarefree_decompose(r)
@@ -374,8 +379,8 @@ def _tent_step(p: int, q: int, s: int, r: int, P: int, Q: int, D: int,
 
 
 def exact_sqrt(x) -> ExactNumber:
-    """Exact square root of a nonnegative rational."""
-    q = Fraction(x)
+    """Exact square root of a nonnegative exact rational (exact_rational)."""
+    q = exact_rational(x)
     if q < 0:
         raise InputError(f"cannot take a real square root of {q}")
     if q == 0:
@@ -402,6 +407,19 @@ def _parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"malformed rational {text!r}") from exc
+
+
+def exact_rational(value) -> Fraction:
+    """value as a Fraction: an int (not a bool), a Fraction or a rational
+    string such as "3", "-1/2" or "0.25". Anything else, a float
+    included, is an InputError, so no value ever enters rounded."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str):
+        return _parse_rational(value)
+    raise InputError(f"expected an exact rational, got {value!r}")
 
 
 def parse_exact(text: str) -> ExactNumber:

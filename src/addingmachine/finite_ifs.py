@@ -127,6 +127,7 @@ from math import gcd
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import InputError, NoCanonicalCoverError
+from .exactnum import exact_rational
 
 Word = tuple[str, ...]
 Table = tuple[int, ...]
@@ -135,10 +136,12 @@ Table = tuple[int, ...]
 class FiniteIFS:
     """An iterated function system on states 0..n-1 with an exact metric.
 
-    tables maps each label to the tuple (f(0), f(1), ..., f(n-1)).
-    metric, when given, is an n-by-n matrix of rationals satisfying the
-    metric axioms (checked, including separation and the triangle
-    inequality); omitted means the discrete metric.
+    tables maps each label to the tuple (f(0), f(1), ..., f(n-1)); each
+    map passes _checked_map, the one rule for a valid map, with n the
+    length of the first. metric, when given, is an n-by-n matrix of exact
+    rationals (exact_rational) satisfying the metric axioms (checked,
+    including separation and the triangle inequality); omitted means the
+    discrete metric.
 
     _summary caches the system's _Summary once it is asked for, and
     _walk the outcome of its longest nm_set walk; the system is
@@ -149,38 +152,19 @@ class FiniteIFS:
     __slots__ = ("n_states", "labels", "_tables", "_by_label", "metric", "_summary", "_walk")
 
     def __init__(self, tables, metric=None):
-        if isinstance(tables, Mapping):
-            items = list(tables.items())
-        else:
-            items = [(label, table) for label, table in tables]
-        if not items:
+        by_label: dict[str, Table] = {}
+        n = None
+        for label, table in tables.items() if isinstance(tables, Mapping) else tables:
+            by_label[label] = _checked_map(label, table, n, by_label)
+            n = len(by_label[label])
+        if n is None:
             raise InputError("a system needs at least one map")
-        labels = []
-        rows = []
-        for label, table in items:
-            if not isinstance(label, str) or not label:
-                raise InputError(f"label must be a nonempty string, got {label!r}")
-            if label in labels:
-                raise InputError(f"duplicate label {label!r}")
-            labels.append(label)
-            rows.append(tuple(table))
-        n = len(rows[0])
         if n == 0:
             raise InputError("state space must be nonempty")
-        for label, row in zip(labels, rows):
-            if len(row) != n:
-                raise InputError(
-                    f"map {label!r} has {len(row)} entries, expected {n}"
-                )
-            for x, y in enumerate(row):
-                if not isinstance(y, int) or isinstance(y, bool) or not 0 <= y < n:
-                    raise InputError(
-                        f"map {label!r} sends {x} to {y!r}, outside 0..{n - 1}"
-                    )
         self.n_states = n
-        self.labels = tuple(labels)
-        self._tables = tuple(rows)
-        self._by_label = dict(zip(labels, rows))
+        self.labels = tuple(by_label)
+        self._tables = tuple(by_label.values())
+        self._by_label = by_label
         self.metric = _validate_metric(metric, n) if metric is not None else None
         self._summary = None
         self._walk = None
@@ -221,10 +205,30 @@ class FiniteIFS:
         return f"FiniteIFS({{{body}}})"
 
 
+def _checked_map(label, table, n: int | None, labels) -> Table:
+    """table as the map of a new label on states 0..n-1, n = None taking
+    its own length; the one rule for a valid map.
+
+    The label must be a nonempty string not in labels, and the table
+    have n entries, each an int (not a bool) in 0..n-1. The table is
+    read once, as it may be a one-shot iterable.
+    """
+    if not isinstance(label, str) or not label:
+        raise InputError(f"label must be a nonempty string, got {label!r}")
+    if label in labels:
+        raise InputError(f"duplicate label {label!r}")
+    row = tuple(table)
+    n = len(row) if n is None else n
+    if len(row) != n:
+        raise InputError(f"map {label!r} has {len(row)} entries, expected {n}")
+    for x, y in enumerate(row):
+        if not isinstance(y, int) or isinstance(y, bool) or not 0 <= y < n:
+            raise InputError(f"map {label!r} sends {x} to {y!r}, outside 0..{n - 1}")
+    return row
+
+
 def _validate_metric(metric, n: int):
-    rows = []
-    for row in metric:
-        rows.append(tuple(Fraction(v) for v in row))
+    rows = [tuple(exact_rational(v) for v in row) for row in metric]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise InputError(f"metric must be an {n}x{n} matrix")
     for x in range(n):
@@ -288,12 +292,6 @@ class MinimalSetReport:
     n: int
     sets: tuple[tuple[int, ...], ...]
     is_whole_space: bool
-
-    def __iter__(self):
-        return iter(self.sets)
-
-    def __len__(self):
-        return len(self.sets)
 
     def as_frozensets(self) -> set[frozenset[int]]:
         return {frozenset(block) for block in self.sets}
@@ -682,9 +680,10 @@ def has_shadowing(F: FiniteIFS, delta, epsilon) -> bool:
     d(f^k(y), x_k) < epsilon for every k. Decided exactly by tracking,
     along every pseudo-orbit simultaneously, the set of surviving shadow
     positions; shadowing fails exactly when that set can be emptied.
+    delta and epsilon are exact rationals (exact_rational).
     """
     f = _single_table(F, "has_shadowing")
-    delta, epsilon = Fraction(delta), Fraction(epsilon)
+    delta, epsilon = exact_rational(delta), exact_rational(epsilon)
     n, d = F.n_states, F.distance
     pseudo_next = [
         tuple(y for y in range(n) if d(f[x], y) <= delta) for x in range(n)
@@ -720,4 +719,4 @@ def is_sensitive(F: FiniteIFS, delta) -> bool:
     sensitive exactly for delta < 0.
     """
     _single_table(F, "is_sensitive")
-    return Fraction(delta) < 0
+    return exact_rational(delta) < 0

@@ -11,90 +11,76 @@ The states line lists 0..n-1 in order. Each label line gives the image
 of state k at position k, so maps must be total. The optional metric
 block holds n rows of n rationals. Blank lines and '#' comments are
 ignored. Malformed input fails with the offending line number.
+
+parse_ifs owns the syntax only: the states line, the shape of a label
+line, number tokens, and the extent of the metric block. Whether a
+label line is a valid map (a new label, n images in 0..n-1) is decided
+by finite_ifs, the one owner of that rule, whose InputError parse_ifs
+reports at the label line. The metric axioms are not tied to one line:
+their failures pass through as a plain InputError.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import IFSParseError, InputError
-from .finite_ifs import FiniteIFS
+from .exactnum import exact_rational
+from .finite_ifs import FiniteIFS, _checked_map
+
+
+def _numbers(no: int, tokens: list[str], read, what: str) -> list:
+    """tokens read by read (int or exact_rational), any failure at line no."""
+    try:
+        return list(map(read, tokens))
+    except ValueError:
+        raise IFSParseError(no, f"malformed {what} {' '.join(tokens)!r}") from None
 
 
 def parse_ifs(text: str) -> FiniteIFS:
-    lines = [
-        (no, line.strip())
-        for no, line in enumerate(text.splitlines(), start=1)
-        if line.strip() and not line.strip().startswith("#")
-    ]
-    if not lines:
+    lines = (
+        (no, line)
+        for no, raw in enumerate(text.splitlines(), start=1)
+        if (line := raw.strip()) and not line.startswith("#")
+    )
+    no, first = next(lines, (1, None))
+    if first is None:
         raise IFSParseError(1, "empty description")
-    no, first = lines[0]
     if not first.startswith("states:"):
         raise IFSParseError(no, f"expected 'states:' line, got {first!r}")
-    tokens = first[len("states:"):].split()
-    try:
-        listed = [int(t) for t in tokens]
-    except ValueError:
-        raise IFSParseError(no, f"malformed state list {tokens!r}") from None
-    n = len(listed)
-    if n == 0 or listed != list(range(n)):
+    states = _numbers(no, first[len("states:"):].split(), int, "state list")
+    n = len(states)
+    if n == 0 or states != list(range(n)):
         raise IFSParseError(no, "states must be 0 1 ... n-1 in order")
-
-    tables: list[tuple[str, tuple[int, ...]]] = []
-    seen_labels: set[str] = set()
-    metric_rows: list[tuple[Fraction, ...]] | None = None
-    idx = 1
-    while idx < len(lines):
-        no, line = lines[idx]
+    tables: dict[str, tuple[int, ...]] = {}
+    metric = None
+    for no, line in lines:
         if line.startswith("label "):
-            head, sep, rest = line[len("label "):].partition(":")
-            name = head.strip()
+            name, sep, rest = line[len("label "):].partition(":")
+            name = name.strip()
             if not sep or not name or " " in name:
                 raise IFSParseError(no, f"malformed label line {line!r}")
-            if name in seen_labels:
-                raise IFSParseError(no, f"duplicate label {name!r}")
-            entries = rest.split()
+            images = _numbers(no, rest.split(), int, "image list")
             try:
-                images = tuple(int(t) for t in entries)
-            except ValueError:
-                raise IFSParseError(no, f"malformed image list for label {name!r}") from None
-            if len(images) != n:
-                raise IFSParseError(
-                    no, f"map {name!r} gives {len(images)} images, expected {n} (not total)"
-                )
-            for x, y in enumerate(images):
-                if not 0 <= y < n:
-                    raise IFSParseError(no, f"map {name!r} sends {x} to {y}, outside 0..{n - 1}")
-            seen_labels.add(name)
-            tables.append((name, images))
-            idx += 1
+                tables[name] = _checked_map(name, images, n, tables)
+            except InputError as exc:
+                raise IFSParseError(no, str(exc)) from None
         elif line == "metric:":
-            if metric_rows is not None:
+            if metric is not None:
                 raise IFSParseError(no, "second metric block")
-            metric_rows = []
-            idx += 1
-            for _ in range(n):
-                if idx >= len(lines):
-                    raise IFSParseError(no, f"metric block needs {n} rows")
-                row_no, row_line = lines[idx]
-                entries = row_line.split()
+            metric, block = [], no
+            for no, row in lines:
+                entries = row.split()
                 if len(entries) != n:
-                    raise IFSParseError(row_no, f"metric row has {len(entries)} entries, expected {n}")
-                row = []
-                for t in entries:
-                    try:
-                        row.append(Fraction(t))
-                    except (ValueError, ZeroDivisionError):
-                        raise IFSParseError(row_no, f"malformed rational {t!r}") from None
-                metric_rows.append(tuple(row))
-                idx += 1
+                    raise IFSParseError(no, f"metric row has {len(entries)} entries, expected {n}")
+                metric.append(_numbers(no, entries, exact_rational, "metric row"))
+                if len(metric) == n:
+                    break
+            if len(metric) < n:
+                raise IFSParseError(block, f"metric block needs {n} rows")
         else:
             raise IFSParseError(no, f"unrecognized line {line!r}")
     if not tables:
-        raise IFSParseError(lines[-1][0], "no label lines; at least one map is required")
-    # metric axiom failures are not tied to one line; InputError passes through
-    return FiniteIFS(tables, metric=metric_rows)
+        raise IFSParseError(no, "no label lines; at least one map is required")
+    return FiniteIFS(tables, metric=metric)
 
 
 def format_ifs(F: FiniteIFS) -> str:

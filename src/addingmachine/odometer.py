@@ -204,9 +204,6 @@ class OdometerPoint:
     def successor(self) -> "OdometerPoint":
         return successor(self)
 
-    def as_residue(self) -> int:
-        return as_residue(self)
-
     def __add__(self, other):
         if isinstance(other, OdometerPoint):
             return add(self, other)
@@ -314,9 +311,6 @@ class PrimeMultiplicity:
 
     def as_dict(self) -> dict:
         return dict(self.counts)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.counts)
 
     def to_text(self) -> str:
         if not self.counts:

@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from addingmachine import cli, finite_ifs, interval_dynamics
+from addingmachine import cli, conjugacy, finite_ifs, interval_dynamics
 from addingmachine.cli import SWEEP_MAX_STEPS, main
 from addingmachine.ifs_io import format_ifs
 
@@ -334,6 +334,36 @@ def test_ifs_verify_fails_on_injectivity_and_base_check(capsys, tmp_path):
         base check: FAIL (tower gives 3^0 but the power spectrum supports 3^1)
         verdict: FAIL
         """)
+
+
+def test_ifs_verify_reports_an_equivariance_counterexample(capsys, tmp_path, monkeypatch):
+    # a factor map with the residues of states 0 and 1 swapped: state 0
+    # (residue 1) goes to state 1 (residue 0), not to residue 2
+    real = conjugacy.build_factor_map
+
+    def swapped(F, tower):
+        fm = real(F, tower)
+        digits = list(fm.digits)
+        digits[0], digits[1] = digits[1], digits[0]
+        return conjugacy.FactorMap.from_digits(fm.primes, digits)
+
+    monkeypatch.setattr(conjugacy, "build_factor_map", swapped)
+    p = tmp_path / "z4.ifs"
+    p.write_text("states: 0 1 2 3\nlabel a: 1 2 3 0\n")
+    code, out, _ = run(capsys, "ifs", "verify", str(p))
+    assert code == 2
+    assert out.endswith(dedent("""\
+        digits:
+        0 -> 1,0
+        1 -> 0,0
+        2 -> 0,1
+        3 -> 1,1
+        equivariance a: FAIL
+        counterexample: label a at state 0
+        injective on recurrent: yes (4 states)
+        base check: PASS (2^2)
+        verdict: FAIL
+        """))
 
 
 def test_ifs_analyze_reports_a_non_injective_recurrent_set(capsys, tmp_path):

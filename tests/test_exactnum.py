@@ -11,6 +11,7 @@ from addingmachine._intmath import FACTOR_LIMIT, decimal_str, factorize
 from addingmachine.errors import ExactnessError, InputError
 from addingmachine.exactnum import (
     Surd,
+    exact_rational,
     exact_sqrt,
     format_exact,
     parse_exact,
@@ -103,6 +104,41 @@ def test_surd_factory_normalizes():
     assert (s.a, s.b, s.r) == (Fraction(0), Fraction(2), 2)
     with pytest.raises(InputError):
         Surd(Fraction(0), Fraction(0), 2)
+
+
+NOT_EXACT = [0.5, 1.0, None, "x", "1/0", True, Decimal("0.5"), R2, [1]]
+
+
+def test_exact_rational_takes_ints_fractions_and_rational_strings():
+    assert exact_rational(3) == 3 and type(exact_rational(3)) is Fraction
+    assert exact_rational(Fraction(-1, 2)) == Fraction(-1, 2)
+    assert exact_rational(" -1/2 ") == Fraction(-1, 2)
+    assert exact_rational("0.25") == Fraction(1, 4)
+    for value in NOT_EXACT:
+        with pytest.raises(InputError):
+            exact_rational(value)
+
+
+@pytest.mark.parametrize("value", NOT_EXACT, ids=repr)
+def test_surd_builders_and_exact_sqrt_take_exact_rationals_only(value):
+    # no float passes, not even a binary-exact one: a bare Fraction(0.1)
+    # would store 3602879701896397/36028797018963968
+    with pytest.raises(InputError):
+        surd(value, 1, 2)
+    with pytest.raises(InputError):
+        surd(0, value, 2)
+    with pytest.raises(InputError):
+        exact_sqrt(value)
+    with pytest.raises(InputError):
+        Surd(value, 1, 2)
+    with pytest.raises(InputError):
+        Surd(1, value, 2)
+
+
+def test_surd_factory_and_exact_sqrt_read_rational_strings():
+    assert surd("1/2", "1/2", 5) == parse_exact("(1+sqrt(5))/2")
+    assert exact_sqrt("9/16") == Fraction(3, 4)
+    assert exact_sqrt("1/2") == exact_sqrt(Fraction(1, 2))
 
 
 def test_conjugate_product_is_rational():

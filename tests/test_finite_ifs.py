@@ -66,22 +66,42 @@ def brute_minimal_sets_of(F, tabs):
 
 
 def test_constructor_validation():
-    with pytest.raises(InputError):
-        FiniteIFS({})
-    with pytest.raises(InputError):
-        FiniteIFS({"a": (0, 2)})  # image out of range
-    with pytest.raises(InputError):
-        FiniteIFS({"a": (0, 1), "b": (0,)})  # length mismatch
-    with pytest.raises(InputError):
-        FiniteIFS({"": (0,)})
-    with pytest.raises(InputError):
-        FiniteIFS([("a", (0,)), ("a", (0,))])
+    for tables, message in [
+        ({}, "a system needs at least one map"),
+        ({"a": ()}, "state space must be nonempty"),
+        ({"a": (0, 2)}, "map 'a' sends 1 to 2, outside 0..1"),
+        ({"a": (0, -1)}, "map 'a' sends 1 to -1, outside 0..1"),
+        ({"a": (0, True)}, "map 'a' sends 1 to True, outside 0..1"),
+        ({"a": (0, 1.0)}, "map 'a' sends 1 to 1.0, outside 0..1"),
+        ({"a": ("0", 1)}, "map 'a' sends 0 to '0', outside 0..1"),
+        ({"a": (0, 1), "b": (0,)}, "map 'b' has 1 entries, expected 2"),
+        ({"": (0,)}, "label must be a nonempty string, got ''"),
+        ([(1, (0,))], "label must be a nonempty string, got 1"),
+        ([("a", (0,)), ("a", (0,))], "duplicate label 'a'"),
+    ]:
+        with pytest.raises(InputError) as e:
+            FiniteIFS(tables)
+        assert (tables, str(e.value)) == (tables, message)
+
+
+def test_constructor_reads_each_table_once():
+    # a table may be a one-shot iterable; the map rule reads it once
+    F = FiniteIFS([("a", iter((1, 2, 0))), ("b", (x for x in (0, 0, 1)))])
+    assert F.table("a") == (1, 2, 0) and F.table("b") == (0, 0, 1)
+    assert F == FiniteIFS({"a": (1, 2, 0), "b": (0, 0, 1)})
 
 
 def test_metric_validation():
     good = [[0, 1], [1, 0]]
     F = FiniteIFS({"a": (1, 0)}, metric=good)
     assert F.distance(0, 1) == 1
+    F = FiniteIFS({"a": (1, 0)}, metric=[[0, "1/10"], [Fraction(1, 10), "0"]])
+    assert F.distance(0, 1) == Fraction(1, 10)
+    # exact rationals only: a bare Fraction(0.1) would store
+    # 3602879701896397/36028797018963968
+    for value in (0.1, 0.5, None, "x", True):
+        with pytest.raises(InputError):
+            FiniteIFS({"a": (1, 0)}, metric=[[0, value], [value, 0]])
     with pytest.raises(InputError):
         FiniteIFS({"a": (1, 0)}, metric=[[0, 1], [2, 0]])  # asymmetric
     with pytest.raises(InputError):
@@ -754,6 +774,69 @@ def test_shadowing_with_line_metric():
     F = FiniteIFS({"a": (0, 1, 2)}, metric=line)
     assert not has_shadowing(F, Fraction(1, 2), Fraction(1, 2))
     assert has_shadowing(F, Fraction(1, 4), Fraction(3, 4))
+
+
+def _shadowing_by_enumeration(F, delta, epsilon):
+    """Oracle for has_shadowing: (verdict, length) from every
+    delta-pseudo-orbit, shortest first, its shadows read off the
+    definition (all y with d(f^k(y), x_k) < epsilon for each k).
+
+    False with the first pseudo-orbit that has no shadow, and its
+    length. The extensions of a pseudo-orbit x_0..x_k and the images
+    f^(k+1)(y) of their shadows depend only on the pair (x_k, image of
+    the shadows under f^k), so once a length adds no new such pair, no
+    longer one does: True, with that length.
+    """
+    f, n, d = F.table(F.labels[0]), F.n_states, F.distance
+
+    def image(y, k):
+        for _ in range(k):
+            y = f[y]
+        return y
+
+    seen, orbits = set(), [(x,) for x in F.states]
+    for length in itertools.count(1):
+        pairs = set()
+        for orbit in orbits:
+            shadows = [y for y in F.states
+                       if all(d(image(y, k), x) < epsilon for k, x in enumerate(orbit))]
+            if not shadows:
+                return False, orbit
+            pairs.add((orbit[-1], frozenset(image(y, length - 1) for y in shadows)))
+        if pairs <= seen:
+            return True, length
+        seen |= pairs
+        orbits = [o + (y,) for o in orbits for y in range(n) if d(f[o[-1]], y) <= delta]
+
+
+# three states on a line, d(x, y) = |x - y|
+LINE3 = [[abs(x - y) for y in range(3)] for x in range(3)]
+
+
+def test_shadowing_decided_past_the_start_pairs():
+    # identity map, one-step pseudo-hops: a pseudo-orbit may drift from
+    # 0 to 2, and the middle state shadows every one of them; the pairs
+    # of lengths 2, 3 and 4 are new, so the search must queue them
+    F = FiniteIFS({"a": (0, 1, 2)}, metric=LINE3)
+    assert has_shadowing(F, 1, 2)
+    assert _shadowing_by_enumeration(F, 1, 2) == (True, 5)
+    # 2 stays at 2, 1 and 0 fall to 0; the pseudo-orbit 2, 2, 1, 0 has
+    # no shadow, and every shorter one has, so the empty survivor set
+    # comes from a queued pair, never from a start pair
+    G = FiniteIFS({"a": (0, 0, 2)}, metric=LINE3)
+    assert not has_shadowing(G, 1, 2)
+    assert _shadowing_by_enumeration(G, 1, 2) == (False, (2, 2, 1, 0))
+
+
+@pytest.mark.parametrize("value", [0.5, None, "x", True], ids=repr)
+def test_shadowing_and_sensitivity_take_exact_constants_only(value):
+    with pytest.raises(InputError):
+        has_shadowing(Z4, value, Fraction(1, 2))
+    with pytest.raises(InputError):
+        has_shadowing(Z4, Fraction(1, 2), value)
+    with pytest.raises(InputError):
+        is_sensitive(Z4, value)
+    assert has_shadowing(Z4, "1/2", "1/2") and not is_sensitive(Z4, "1/2")
 
 
 def test_sensitivity_contracts():
