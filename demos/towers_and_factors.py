@@ -9,6 +9,7 @@ Run as: python3 demos/towers_and_factors.py
 """
 
 from addingmachine import (
+    PrimeMultiplicity,
     build_factor_map,
     max_tower,
     rotation_system,
@@ -43,9 +44,8 @@ def main():
     print(f"which is also successor({p.to_text()}) = {p.successor().to_text()}")
 
     alpha = tower_to_alpha(tower)
-    profile = " ".join(f"{p}^{k}" for p, k in alpha.multiplicities)
     print(f"\nthe tower realizes the counter base '{alpha.base().to_text()}'"
-          f" with prime profile {profile}")
+          f" with prime profile {PrimeMultiplicity(alpha.multiplicities)}")
 
 
 if __name__ == "__main__":

@@ -165,8 +165,7 @@ def _cmd_ifs(args) -> int:
         failed = failed or not injective
         alpha = conjugacy.tower_to_alpha(tower)
         if alpha.mismatch is None:
-            profile = " ".join(f"{p}^{k}" for p, k in alpha.multiplicities) or "(empty)"
-            lines.append(f"base check: PASS ({profile})")
+            lines.append(f"base check: PASS ({odometer.PrimeMultiplicity(alpha.multiplicities)})")
         else:
             lines.append(f"base check: FAIL ({alpha.mismatch})")
             failed = True

@@ -54,7 +54,7 @@ from .finite_ifs import (
     nm_set,
     regularly_recurrent_points,
 )
-from .odometer import BaseSequence, OdometerPoint, from_residue
+from .odometer import BaseSequence, OdometerPoint, as_residue, from_residue
 
 
 # -- colorings --------------------------------------------------------------
@@ -276,18 +276,13 @@ class FactorMap:
     def from_digits(cls, primes, digits) -> "FactorMap":
         primes = tuple(primes)
         digits = tuple(tuple(d) for d in digits)
-        residues = []
-        for vector in digits:
-            if len(vector) != len(primes):
-                raise InputError("digit vector length differs from tower depth")
-            value, weight = 0, 1
-            for d, p in zip(vector, primes):
-                if not 0 <= d < p:
-                    raise InputError(f"digit {d} outside 0..{p - 1}")
-                value += d * weight
-                weight *= p
-            residues.append(value)
-        return cls(primes=primes, digits=digits, residues=tuple(residues))
+        if any(len(vector) != len(primes) for vector in digits):
+            raise InputError("digit vector length differs from tower depth")
+        if not primes:
+            return cls(primes=(), digits=digits, residues=(0,) * len(digits))
+        base = BaseSequence(primes)
+        residues = tuple(as_residue(OdometerPoint(base, vector)) for vector in digits)
+        return cls(primes=primes, digits=digits, residues=residues)
 
     @property
     def depth(self) -> int:

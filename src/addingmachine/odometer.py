@@ -6,6 +6,12 @@ digit tuples, least significant digit first, with digit i drawn from
 {0, ..., j_i - 1}. Addition carries to the right, so truncating at depth
 L is exactly arithmetic modulo m_L = j_1 * ... * j_L, and the depth-L
 point set with the successor map is the cyclic group of order m_L.
+There is one carry rule, add: successor is add of the point one,
+(1, 0, ..., 0). There is one residue rule, as_residue and its inverse
+from_residue, which read a digit vector as the integer it encodes in
+0..m_L - 1 and back; factor maps read their residues through it too.
+Bases and points are frozen values: equal when their fields are equal,
+hashable, and never changed in place.
 
 The metric counts disagreeing digit positions with weight 1/2^i, which
 makes deeper agreement mean closer points; all distances are Fractions.
@@ -20,14 +26,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
+from itertools import chain, cycle, islice
 from math import prod
 
 from ._intmath import factorize
 from .errors import InputError
 
 
+@total_ordering
 class _InfiniteMultiplicity:
-    """Singleton for an infinitely repeated prime factor."""
+    """Singleton for an infinitely repeated prime factor, above every int."""
 
     _instance = None
 
@@ -45,30 +54,16 @@ class _InfiniteMultiplicity:
     def __hash__(self):
         return hash("_InfiniteMultiplicity")
 
-    def __gt__(self, other):
-        if isinstance(other, int) or other is self:
-            return other is not self
-        return NotImplemented
-
     def __lt__(self, other):
         if isinstance(other, int) or other is self:
             return False
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, int) or other is self:
-            return True
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, int) or other is self:
-            return other is self
         return NotImplemented
 
 
 INFINITY = _InfiniteMultiplicity()
 
 
+@dataclass(frozen=True, slots=True)
 class BaseSequence:
     """A mixed-radix base: finite prefix plus optional repeating tail.
 
@@ -77,17 +72,18 @@ class BaseSequence:
     truncated base of exactly two levels, no infinite tail).
     """
 
-    __slots__ = ("prefix", "tail")
+    prefix: tuple[int, ...] = ()
+    tail: tuple[int, ...] = ()
 
-    def __init__(self, prefix=(), tail=()):
-        prefix, tail = tuple(prefix), tuple(tail)
+    def __post_init__(self):
+        prefix, tail = tuple(self.prefix), tuple(self.tail)
         if not prefix and not tail:
             raise InputError("base needs at least one radix")
         for j in prefix + tail:
             if not isinstance(j, int) or isinstance(j, bool) or j < 2:
                 raise InputError(f"radix must be an integer >= 2, got {j!r}")
-        self.prefix = prefix
-        self.tail = tail
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "tail", tail)
 
     @property
     def is_full(self) -> bool:
@@ -115,7 +111,7 @@ class BaseSequence:
     def radices(self, depth: int) -> tuple[int, ...]:
         if not self.supports_depth(depth):
             raise InputError(f"base {self} does not support depth {depth}")
-        return tuple(self.radix(i) for i in range(1, depth + 1))
+        return tuple(islice(chain(self.prefix, cycle(self.tail)), depth))
 
     def level_size(self, depth: int) -> int:
         """Number of depth-level truncated points, the product of radices."""
@@ -145,21 +141,11 @@ class BaseSequence:
     def to_text(self) -> str:
         return ",".join(map(str, self.prefix)) + ";" + ",".join(map(str, self.tail))
 
-    def __eq__(self, other):
-        if not isinstance(other, BaseSequence):
-            return NotImplemented
-        return self.prefix == other.prefix and self.tail == other.tail
-
-    def __hash__(self):
-        return hash((self.prefix, self.tail))
-
-    def __repr__(self):
-        return f"BaseSequence({self.prefix!r}, {self.tail!r})"
-
     def __str__(self):
         return self.to_text()
 
 
+@dataclass(frozen=True, slots=True)
 class OdometerPoint:
     """A depth-L truncated point of an adding machine.
 
@@ -167,20 +153,17 @@ class OdometerPoint:
     radix at position i+1.
     """
 
-    __slots__ = ("base", "digits")
+    base: BaseSequence
+    digits: tuple[int, ...]
 
-    def __init__(self, base: BaseSequence, digits):
-        digits = tuple(digits)
+    def __post_init__(self):
+        digits = tuple(self.digits)
         if not digits:
             raise InputError("a point needs at least one digit")
-        if not base.supports_depth(len(digits)):
-            raise InputError(f"base {base} does not support depth {len(digits)}")
-        for i, d in enumerate(digits):
-            j = base.radix(i + 1)
+        for i, (j, d) in enumerate(zip(self.base.radices(len(digits)), digits), start=1):
             if not isinstance(d, int) or isinstance(d, bool) or not 0 <= d < j:
-                raise InputError(f"digit {d!r} at position {i + 1} not in 0..{j - 1}")
-        self.base = base
-        self.digits = digits
+                raise InputError(f"digit {d!r} at position {i} not in 0..{j - 1}")
+        object.__setattr__(self, "digits", digits)
 
     @property
     def depth(self) -> int:
@@ -209,17 +192,6 @@ class OdometerPoint:
             return add(self, other)
         return NotImplemented
 
-    def __eq__(self, other):
-        if not isinstance(other, OdometerPoint):
-            return NotImplemented
-        return self.base == other.base and self.digits == other.digits
-
-    def __hash__(self):
-        return hash((self.base, self.digits))
-
-    def __repr__(self):
-        return f"OdometerPoint({self.base!r}, {self.digits!r})"
-
     def __str__(self):
         return self.to_text()
 
@@ -239,26 +211,15 @@ def add(x: OdometerPoint, y: OdometerPoint) -> OdometerPoint:
     """
     _require_same_space(x, y)
     out, carry = [], 0
-    for i, (r, s) in enumerate(zip(x.digits, y.digits)):
-        j = x.base.radix(i + 1)
-        total = r + s + carry
-        out.append(total % j)
-        carry = total // j
+    for j, r, s in zip(x.base.radices(x.depth), x.digits, y.digits):
+        carry, digit = divmod(r + s + carry, j)
+        out.append(digit)
     return OdometerPoint(x.base, out)
 
 
 def successor(x: OdometerPoint) -> OdometerPoint:
     """Add one: the adding-machine map truncated at this depth."""
-    out, carry, digits = [], 1, x.digits
-    for i, d in enumerate(digits):
-        j = x.base.radix(i + 1)
-        total = d + carry
-        out.append(total % j)
-        carry = total // j
-        if carry == 0:
-            out.extend(digits[i + 1:])
-            break
-    return OdometerPoint(x.base, out)
+    return add(x, OdometerPoint(x.base, (1,) + (0,) * (x.depth - 1)))
 
 
 def distance(x: OdometerPoint, y: OdometerPoint) -> Fraction:
@@ -281,16 +242,14 @@ def as_residue(x: OdometerPoint) -> int:
 
 def from_residue(base: BaseSequence, depth: int, value: int) -> OdometerPoint:
     """Inverse of as_residue at the given depth."""
-    if not base.supports_depth(depth):
-        raise InputError(f"base {base} does not support depth {depth}")
-    m = base.level_size(depth)
+    radices = base.radices(depth)
+    m = prod(radices)
     if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < m:
         raise InputError(f"residue {value!r} not in 0..{m - 1}")
     digits = []
-    for i in range(1, depth + 1):
-        j = base.radix(i)
-        digits.append(value % j)
-        value //= j
+    for j in radices:
+        value, digit = divmod(value, j)
+        digits.append(digit)
     return OdometerPoint(base, digits)
 
 

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 from hypothesis import example, given, settings
 
@@ -22,8 +24,14 @@ from addingmachine.finite_ifs import (
     regularly_recurrent_points,
     rotation_system,
 )
-from addingmachine.odometer import BaseSequence, OdometerPoint
-from strategies import permutation_systems, small_systems
+from addingmachine.odometer import BaseSequence, OdometerPoint, as_residue
+from strategies import (
+    affine_system,
+    affine_systems,
+    permutation_systems,
+    small_systems,
+    trial_division,
+)
 from words import word_tables
 
 Z4 = rotation_system(4, [1])
@@ -269,6 +277,22 @@ def test_from_digits_validation():
         FactorMap.from_digits((2,), [(2,), (0,)])
 
 
+def test_from_digits_reads_residues_through_the_odometer():
+    fm = FactorMap.from_digits([2, 3], [[1, 2], (0, 1)])
+    base = BaseSequence((2, 3))
+    assert fm.residues == (as_residue(OdometerPoint(base, (1, 2))), 2) == (5, 2)
+    assert fm.digits == ((1, 2), (0, 1))
+    depth0 = FactorMap.from_digits((), [(), ()])
+    assert depth0 == FactorMap(primes=(), digits=((), ()), residues=(0, 0))
+    # the digit rule is OdometerPoint's: ints only, bools too are refused
+    with pytest.raises(InputError, match=r"digit 3 at position 2 not in 0\.\.2"):
+        FactorMap.from_digits((2, 3), [(0, 3)])
+    with pytest.raises(InputError, match="digit True at position 1"):
+        FactorMap.from_digits((2,), [(True,)])
+    with pytest.raises(InputError, match="length differs"):
+        FactorMap.from_digits((), [(0,)])
+
+
 def test_equivariance_passes_on_built_maps():
     for F in (Z4, Z6, Z12, Z6_TWO):
         fm = build_factor_map(F, max_tower(F))
@@ -366,3 +390,61 @@ def test_injectivity_on_regularly_recurrent():
     assert injectivity_on_regularly_recurrent(Z6_TWO, fm)
     assert injectivity_on_regularly_recurrent(Z6_TWO, fm, rr=[0, 1])
     assert not injectivity_on_regularly_recurrent(Z6_TWO, fm, rr=[0, 2])
+
+
+# -- affine systems: a closed form ----------------------------------------------
+
+
+def closed_form_size(m, coefficients):
+    """g = gcd(m, a_i - a_1, b_i - b_1 for every i)."""
+    (a1, b1), g = coefficients[0], m
+    for a, b in coefficients[1:]:
+        g = gcd(g, a - a1, b - b1)
+    return g
+
+
+@settings(max_examples=100, deadline=None)
+@example(case=(2 ** 8, ((5, 1), (37, 97), (69, 65))))  # g = 2^5
+@example(case=(3 ** 5, ((4, 1), (31, 55))))  # g = 3^3
+@given(case=affine_systems())
+def test_affine_towers_match_the_closed_form(case):
+    """Maps x -> a_i*x + b_i mod m, map 1 of full period, every a_i a unit.
+
+    The tower's top size is g = gcd(m, a_i - a_1, b_i - b_1), and each
+    level of size n holds the residue classes mod n of the step count s(x)
+    along map 1 from 0. A coloring is unique (the conjugacy module
+    docstring), and map 1 is an n-cycle mod every n | m, so a level of
+    size n is the classes of s mod n. Map i acts on them as map 1 does iff
+    the two agree mod n, that is iff n | a_i - a_1 and n | b_i - b_1
+    (evaluate at 0 and at 1). Unit slopes make every map a bijection, so
+    every such level is onto and the tower reaches g.
+    """
+    m, coefficients = case
+    F = affine_system(m, coefficients)
+    g = closed_form_size(m, coefficients)
+    steps, x = [0] * m, 0
+    for k in range(m):
+        steps[x], x = k, F.table("a")[x]
+    tower = max_tower(F)
+    assert tower.top_size == g
+    for i, level in enumerate(tower.levels, start=1):
+        n = tower.size(i)
+        assert level == tuple(tuple(y for y in F.states if steps[y] % n == j) for j in range(n))
+    alpha = tower_to_alpha(tower)
+    assert alpha.multiplicities == tuple(sorted(trial_division(g).items()))
+    assert alpha.mismatch is None
+    fm = build_factor_map(F, tower)
+    assert fm.residues == tuple(steps[y] % g for y in F.states)
+    assert verify_equivariance(F, fm).passed
+
+
+def test_affine_closed_form_needs_unit_slopes():
+    # 13x + 13 has full period mod 24, but 21 is no unit mod 24: 21x + 21
+    # agrees with it mod 8, yet no size-2 level is onto, so the tower is trivial
+    m, coefficients = 24, ((13, 13), (21, 21))
+    F = affine_system(m, coefficients)
+    assert closed_form_size(m, coefficients) == 8 and gcd(21, m) == 3
+    assert is_minimal(F)
+    tower = max_tower(F)
+    assert tower.depth == 0
+    assert tower_to_alpha(tower).multiplicities == ()

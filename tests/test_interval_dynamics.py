@@ -520,6 +520,40 @@ def test_tower_certificate_walks_the_orbit_once(a, window, primes, margin):
     assert steps <= max(window - 1, 0)
 
 
+@settings(max_examples=150, deadline=None)
+@example(a=PHI, n=3, window=64, margin=Fraction(0))  # superstable of period 3
+@example(a=PHI, n=3, window=64, margin=Fraction(1, 1000))
+@given(
+    a=slopes(),
+    n=st.builds(lambda j, q: 2 ** j * q, st.integers(0, 2), st.sampled_from([3, 5, 7, 9])),
+    window=st.integers(min_value=1, max_value=200),
+    margin=st.sampled_from([Fraction(0), Fraction(1, 1000)]),
+)
+def test_only_period_doubling_certifies_a_hull_of_positive_length(a, n, window, margin):
+    """For 1 < a <= 2 and n = 2^j * q with q odd and q >= 3, a certified
+    level has I_0 = [1/2, 1/2]: the critical orbit is periodic of period n.
+
+    Take disjoint hulls J_0, ..., J_(n-1) with T(J_i) inside J_(i+1) and
+    1/2 in J_0, and suppose J_0 has positive length. Only J_0 holds 1/2,
+    so T^n on J_0 has slopes +-a^n and at most one turn; it maps J_0 into
+    itself, so a^n <= 2, that is log a <= log 2 / n. T^n has a fixed point
+    in J_0, whose T-orbit visits the disjoint J_i in turn, so T has a point
+    of exact period n. The entropy of T_a is log a (Misiurewicz and
+    Szlenk 1980), and a point of period 2^j * q forces entropy at least
+    log(lambda_q) / 2^j with lambda_q > sqrt(2) (Stefan 1977; Block,
+    Guckenheimer, Misiurewicz and Young 1980). That exceeds
+    log 2 / (2 * 2^j) >= log 2 / n, a contradiction.
+
+    At the golden mean the orbit 1/2 -> a/2 -> a - a^2/2 -> a^2 - a^3/2 = 1/2
+    has period 3, and n = 3 certifies three point hulls. A margin widens J_0 to
+    positive length, so then no such level certifies at all.
+    """
+    det = detect_interval_cycle(a, n, window, margin)
+    if det.status == "certified":
+        assert det.intervals[0] == (HALF, HALF)
+        assert margin == 0
+
+
 def test_threads_sharing_one_param_read_one_orbit():
     # a TentParam carries no orbit state; readers racing on one fresh
     # TentParam, each with its own window, must each get what a TentParam

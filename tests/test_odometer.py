@@ -62,6 +62,54 @@ def test_point_construction_and_text():
         OdometerPoint.from_text(B222, "1,x,0")
 
 
+# -- value semantics -----------------------------------------------------------
+
+
+def test_equal_values_from_lists_and_tuples():
+    bases = [BaseSequence([2, 3], [5]), BaseSequence((2, 3), (5,)),
+             BaseSequence.from_text("2,3;5")]
+    assert bases[0] == bases[1] == bases[2]
+    assert len(set(bases)) == 1
+    assert bases[0].prefix == (2, 3) and bases[0].tail == (5,)
+    points = [OdometerPoint(bases[0], [1, 2, 4]), OdometerPoint(bases[1], (1, 2, 4)),
+              OdometerPoint.from_text(bases[2], "1,2,4")]
+    assert points[0] == points[1] == points[2]
+    assert len(set(points)) == 1
+    assert points[0].digits == (1, 2, 4)
+    assert len({BaseSequence((2, 3)), BaseSequence((2, 3), ()), BaseSequence((), (2, 3))}) == 2
+    assert len({OdometerPoint(B23, (1, 0)), OdometerPoint(B23, (0, 1))}) == 2
+
+
+def test_equality_with_another_type_is_false():
+    b = BaseSequence((2, 3))
+    x = OdometerPoint(b, (1, 2))
+    for other in [((2, 3), ()), "2,3;", None, 5]:
+        assert (b == other) is False and b != other
+    for other in [(1, 2), b, "1,2", as_residue(x)]:
+        assert (x == other) is False and x != other
+
+
+def test_values_are_immutable():
+    b = BaseSequence((2, 3))
+    x = OdometerPoint(b, (1, 2))
+    for obj, field, value in [(b, "prefix", (5,)), (b, "tail", (5,)),
+                              (x, "base", B222), (x, "digits", (0, 0))]:
+        with pytest.raises(AttributeError):
+            setattr(obj, field, value)
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+    assert b == BaseSequence((2, 3)) and x.digits == (1, 2)
+
+
+def test_repr_round_trips():
+    x = OdometerPoint(BaseSequence((2, 3), (5,)), (1, 2, 4))
+    assert repr(x.base) == "BaseSequence(prefix=(2, 3), tail=(5,))"
+    assert repr(x) == (
+        "OdometerPoint(base=BaseSequence(prefix=(2, 3), tail=(5,)), digits=(1, 2, 4))"
+    )
+    assert eval(repr(x), {"BaseSequence": BaseSequence, "OdometerPoint": OdometerPoint}) == x
+
+
 # -- frozen arithmetic examples ---------------------------------------------
 
 
@@ -82,6 +130,20 @@ def test_successor_wraps():
     assert successor(OdometerPoint(B222, (1, 1, 1))).digits == (0, 0, 0)
     assert successor(OdometerPoint(B222, (0, 0, 0))).digits == (1, 0, 0)
     assert successor(OdometerPoint(B23, (1, 2))).digits == (0, 0)
+
+
+def test_successor_wraps_at_every_depth():
+    # 2, 3, 4, then 5 forever: all digits at their top wrap to zero, and
+    # a run of top digits below the first non-top digit carries into it
+    base = BaseSequence((2, 3, 4), (5,))
+    radices = base.radices(6)
+    for depth in range(1, 7):
+        top = tuple(j - 1 for j in radices[:depth])
+        assert successor(OdometerPoint(base, top)) == OdometerPoint.zero(base, depth)
+        for k in range(depth):
+            x = OdometerPoint(base, top[:k] + (0,) * (depth - k))
+            assert successor(x).digits == (0,) * k + (1,) + (0,) * (depth - k - 1)
+            assert x.successor() == successor(x)
 
 
 def test_distance_example():
@@ -243,6 +305,17 @@ def test_infinity_ordering():
     assert INFINITY >= INFINITY
     assert INFINITY == INFINITY
     assert INFINITY != 7
+    # the other comparisons derive from __eq__ and __lt__
+    for k in (0, 1, 7, 10 ** 30):
+        assert INFINITY > k and INFINITY >= k and not INFINITY < k and not INFINITY <= k
+        assert k < INFINITY and k <= INFINITY and not k > INFINITY and not k >= INFINITY
+    assert INFINITY <= INFINITY and not INFINITY < INFINITY and not INFINITY > INFINITY
+    assert sorted([INFINITY, 3, 1]) == [1, 3, INFINITY]
+    assert max(5, INFINITY) is INFINITY
+    with pytest.raises(TypeError):
+        INFINITY < Fraction(1, 2)
+    with pytest.raises(TypeError):
+        INFINITY >= "inf"
 
 
 # -- property tests ------------------------------------------------------------
